@@ -42,6 +42,7 @@ func main() {
 	m, err := fleet.NewManager(fleet.Config{
 		Workers:   2,
 		MaxPauses: 1,
+		Timing:    fleet.TimingConfig{Window: 0.002},
 		Robustness: fleet.RobustnessConfig{
 			MaxRounds:   1,
 			RevertBelow: 1.02,
@@ -66,7 +67,7 @@ func main() {
 	}
 
 	fmt.Println("fleet scan (TopDown first stage):")
-	scan := m.Scan(fleet.ScanOptions{Window: 0.002})
+	scan := m.Scan(fleet.ScanOptions{})
 	for _, r := range scan {
 		verdict := "skip"
 		if r.Optimize {

@@ -13,6 +13,7 @@ import (
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/workloads/sqldb"
+	"repro/internal/workloads/wl"
 )
 
 // homogeneousFleet builds n replicas of one sqldb image under a manager
@@ -30,7 +31,7 @@ func homogeneousFleet(t *testing.T, n int, cfg Config) (*Manager, []*Service) {
 	cfg.SkipGate = true
 	cfg.Timing = TimingConfig{ProfileDur: 0.0004, Warm: 0.00015, Window: 0.0002}
 	cfg.Robustness.RetryBackoff = time.Microsecond
-	cfg.Sleep = func(time.Duration) {}
+	cfg.Clock = &sleepRecorder{}
 	m, err := NewManager(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -99,24 +100,6 @@ func TestHomogeneousWaveHitsCache(t *testing.T) {
 	}
 }
 
-// TestWaveNoCacheAblation: WaveOptions.NoCache is the redundant-work
-// baseline — every replica pays its own BOLT run.
-func TestWaveNoCacheAblation(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-service wave in -short mode")
-	}
-	const n = 4
-	reg := telemetry.NewRegistry()
-	m, _ := homogeneousFleet(t, n, Config{Workers: 2, Metrics: reg})
-	m.Optimize(m.Scan(ScanOptions{}), WaveOptions{NoCache: true})
-	if stats, _ := m.CacheStats(); stats.Requests() != 0 {
-		t.Errorf("NoCache wave touched the cache: %+v", stats)
-	}
-	if bolts := reg.Counter("core_bolt_invocations_total").Value(); bolts != n {
-		t.Errorf("bolt invocations = %v, want %d without the cache", bolts, n)
-	}
-}
-
 // TestNoLayoutCacheConfig: Config.Cache.Disable disables the cache
 // fleet-wide and CacheStats reports it.
 func TestNoLayoutCacheConfig(t *testing.T) {
@@ -132,40 +115,12 @@ func TestNoLayoutCacheConfig(t *testing.T) {
 	}
 }
 
-// TestScanMinThroughputGate: the ScanOptions floor withholds
-// optimization from services below it, independent of the TopDown gate.
-func TestScanMinThroughputGate(t *testing.T) {
-	m, svcs := homogeneousFleet(t, 2, Config{})
-	m.cfg.SkipGate = false // the floor must gate on its own
-	scan := m.Scan(ScanOptions{Window: 0.0004, MinThroughput: 1e12})
-	for _, r := range scan {
-		if r.Optimize {
-			t.Errorf("%s selected despite the absurd floor", r.Service.Name)
-		}
-		if r.Throughput <= 0 {
-			t.Errorf("%s: floor gating must populate Throughput", r.Service.Name)
-		}
-	}
-	m.Optimize(scan, WaveOptions{})
-	for _, s := range svcs {
-		if v := s.Ctl.Version(); v != 0 {
-			t.Errorf("%s optimized to version %d despite the floor", s.Name, v)
-		}
-	}
-	// A trivial floor keeps everyone eligible.
-	scan = m.Scan(ScanOptions{Window: 0.0004, MinThroughput: 1e-9})
-	for _, r := range scan {
-		if r.Throughput <= 0 {
-			t.Errorf("%s: Throughput not measured", r.Service.Name)
-		}
-	}
-}
-
 // TestDeprecatedShimsRemoved pins the deprecation schedule's end state:
-// the one-release compatibility shims (Manager.ScanWindow,
-// Service.Throughput) are gone, and the struct-options API is the only
-// surface. If someone reintroduces a shim, this fails until the
-// deprecation doc is revisited.
+// the compatibility shims (Manager.ScanWindow, Service.Throughput,
+// FlatConfig) and every fleet knob no caller set are gone, leaving one
+// configuration surface: Config, with the empty WaveOptions and a
+// drift-only ScanOptions. If someone reintroduces one, this fails until
+// the deprecation doc is revisited.
 func TestDeprecatedShimsRemoved(t *testing.T) {
 	for _, c := range []struct {
 		recv   reflect.Type
@@ -173,18 +128,43 @@ func TestDeprecatedShimsRemoved(t *testing.T) {
 	}{
 		{reflect.TypeOf(&Manager{}), "ScanWindow"},
 		{reflect.TypeOf(&Service{}), "Throughput"},
+		{reflect.TypeOf(&Service{}), "Measure"},
 	} {
 		if _, ok := c.recv.MethodByName(c.method); ok {
 			t.Errorf("deprecated shim %s.%s still exists; it was scheduled for removal", c.recv, c.method)
 		}
 	}
-	// The replacement surface still works.
+	for _, c := range []struct {
+		typ   reflect.Type
+		field string
+	}{
+		{reflect.TypeOf(Config{}), "FlushBuffer"},
+		{reflect.TypeOf(Config{}), "Sleep"},
+		{reflect.TypeOf(Config{}), "Jitter"},
+		{reflect.TypeOf(DriftConfig{}), "StoreCapacity"},
+		{reflect.TypeOf(DriftConfig{}), "StoreHalfLife"},
+		{reflect.TypeOf(ScanOptions{}), "Window"},
+		{reflect.TypeOf(ScanOptions{}), "MinThroughput"},
+		{reflect.TypeOf(ScanOptions{}), "ReoptPolicy"},
+		{reflect.TypeOf(ScanResult{}), "Throughput"},
+		{reflect.TypeOf(WaveOptions{}), "Serial"},
+		{reflect.TypeOf(WaveOptions{}), "NoCache"},
+		{reflect.TypeOf(WaveOptions{}), "ReoptPolicy"},
+		{reflect.TypeOf(Manager{}), "fl"},
+		{reflect.TypeOf(Service{}), "emit"},
+	} {
+		if _, ok := c.typ.FieldByName(c.field); ok {
+			t.Errorf("removed field %s.%s still exists", c.typ, c.field)
+		}
+	}
+	// The replacement surface still works: the scan window is
+	// Config.Timing.Window, and throughput is measured with wl.Measure.
 	m, svcs := homogeneousFleet(t, 2, Config{})
-	if via := m.Scan(ScanOptions{Window: 0.0004}); len(via) != 2 {
+	if via := m.Scan(ScanOptions{}); len(via) != 2 {
 		t.Fatalf("Scan lost services: %d", len(via))
 	}
-	if tp := svcs[0].Measure(ScanOptions{Window: 0.0004}); tp <= 0 {
-		t.Errorf("Measure = %v, want > 0", tp)
+	if tp := wl.Measure(svcs[0].Proc, svcs[0].Driver, 0.0004); tp <= 0 {
+		t.Errorf("wl.Measure = %v, want > 0", tp)
 	}
 }
 

@@ -48,7 +48,7 @@ func TestConcurrentFleet(t *testing.T) {
 			MaxRetries:   1,
 			RetryBackoff: time.Microsecond,
 		},
-		Sleep:    func(time.Duration) {},
+		Clock:    &sleepRecorder{},
 		SkipGate: true, // small-scale workloads sit below the TopDown gate
 		Timing:   TimingConfig{ProfileDur: 0.0004, Warm: 0.00015, Window: 0.0002},
 		Metrics:  reg,

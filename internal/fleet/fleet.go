@@ -24,9 +24,9 @@
 // drains every shard's queue concurrently. All selected services share
 // one content-addressed layout.Cache — identical binaries with
 // statistically identical profiles reuse a single BOLT run per round
-// ("optimize once, deploy everywhere", §V) — and trace-journal /
-// telemetry writes are batched off the wave hot path by a bounded
-// flusher.
+// ("optimize once, deploy everywhere", §V). Trace-journal and telemetry
+// writes happen inline on the worker that produced them, and every
+// backoff sleep goes through Config.Clock, the one recorded time seam.
 package fleet
 
 import (
@@ -122,19 +122,13 @@ type DriftConfig struct {
 	// profile.ReoptPolicy defaults.
 	Policy profile.ReoptPolicy
 	// Stream tunes the continuous sampler attached to each service
-	// (period, overhead); zero fields take the perf defaults.
+	// (period, overhead); zero fields take the perf defaults. Each
+	// service's sample store takes the profile.StoreOptions defaults.
 	Stream perf.RecorderOptions
-	// StoreCapacity bounds each service's sample ring (default 8192).
-	StoreCapacity int
-	// StoreHalfLife is the decay half-life of each store's rolling
-	// edge-weight view (default 10 ms simulated).
-	StoreHalfLife float64
 }
 
 // Config carries the manager's named knobs with validated defaults,
-// grouped by concern (timing, robustness, caching, drift) now that the
-// flat field list outgrew a single struct. FlatConfig converts the old
-// shape for one release.
+// grouped by concern (timing, robustness, caching, drift).
 type Config struct {
 	// Workers bounds how many services run their lifecycle concurrently
 	// (default 4). The budget is global: it is shared across all shard
@@ -165,13 +159,6 @@ type Config struct {
 	// verdict (tests and force-rollouts).
 	SkipGate bool
 
-	// FlushBuffer bounds the async flusher that batches trace-journal
-	// and telemetry writes off the wave hot path (default 256 pending
-	// writes; the wave blocks, bounded, when it outruns the drain).
-	// Negative disables batching: writes happen inline, as they also do
-	// under an active replay session.
-	FlushBuffer int
-
 	// Metrics receives the fleet's counters, gauges, and histograms; it
 	// is also wired into every controller the manager creates. Nil means
 	// metrics are discarded.
@@ -190,11 +177,6 @@ type Config struct {
 	// for the revert action itself.
 	FaultHook func(s *Service, stage State) error
 
-	// Sleep overrides how backoff waits are performed; nil means
-	// Clock.Sleep. Tests inject a recorder to observe backoff without
-	// waiting.
-	Sleep func(time.Duration)
-
 	// Clock supplies every wall-clock read and backoff sleep the fleet
 	// performs (service added/updated timestamps, pause-wait timing);
 	// nil means the host's real clock. The record/replay layer swaps in
@@ -204,9 +186,6 @@ type Config struct {
 	// JitterSeed seeds the retry-backoff jitter source (default 1), so a
 	// fleet's backoff schedule is a pure function of its config.
 	JitterSeed int64
-	// Jitter overrides the seeded jitter source with a custom [0,1)
-	// draw; tests pin it to observe exact schedules.
-	Jitter func() float64
 
 	// Replay, when active, records or replays the wave's nondeterminism:
 	// clock reads, sleeps, jitter draws, stage-fault decisions, and —
@@ -223,12 +202,11 @@ type Config struct {
 func (c Config) Validate() error {
 	if c.Workers < 0 || c.MaxPauses < 0 || c.Shards < 0 ||
 		c.Robustness.MaxRounds < 0 || c.Robustness.MaxRetries < 0 ||
-		c.Robustness.QuarantineAfter < 0 || c.Drift.StoreCapacity < 0 {
+		c.Robustness.QuarantineAfter < 0 {
 		return fmt.Errorf("fleet: negative count in config: %+v", c)
 	}
 	if c.Timing.ProfileDur < 0 || c.Timing.Warm < 0 || c.Timing.Window < 0 ||
-		c.Robustness.RevertBelow < 0 || c.Robustness.RetryBackoff < 0 ||
-		c.Drift.StoreHalfLife < 0 {
+		c.Robustness.RevertBelow < 0 || c.Robustness.RetryBackoff < 0 {
 		return fmt.Errorf("fleet: negative duration/threshold in config: %+v", c)
 	}
 	if c.Cache.Disable && c.Cache.Layout != nil {
@@ -272,9 +250,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.Shards == 0 {
 		c.Shards = 4
-	}
-	if c.FlushBuffer == 0 {
-		c.FlushBuffer = 256
 	}
 	if c.Timing.ProfileDur == 0 {
 		c.Timing.ProfileDur = 0.004
@@ -322,69 +297,6 @@ func (c Config) withDefaults() (Config, error) {
 	return c, nil
 }
 
-// FlatConfig is the pre-nesting Config shape, kept one release so
-// existing construction sites migrate on their own schedule. Convert
-// with Config(); new code should build the nested Config directly.
-type FlatConfig struct {
-	Workers         int
-	MaxPauses       int
-	Shards          int
-	ProfileDur      float64
-	Warm            float64
-	Window          float64
-	MaxRounds       int
-	ConvergeGain    float64
-	RevertBelow     float64
-	MaxRetries      int
-	QuarantineAfter int
-	RetryBackoff    time.Duration
-	SkipGate        bool
-	LayoutCache     layout.Cache
-	NoLayoutCache   bool
-	FlushBuffer     int
-	Metrics         *telemetry.Registry
-	Tracer          *trace.Tracer
-	FaultHook       func(s *Service, stage State) error
-	Sleep           func(time.Duration)
-	Clock           replay.Clock
-	JitterSeed      int64
-	Jitter          func() float64
-	Replay          *replay.Session
-}
-
-// Config regroups the flat fields into the nested shape.
-func (f FlatConfig) Config() Config {
-	return Config{
-		Workers:   f.Workers,
-		MaxPauses: f.MaxPauses,
-		Shards:    f.Shards,
-		Timing: TimingConfig{
-			ProfileDur: f.ProfileDur,
-			Warm:       f.Warm,
-			Window:     f.Window,
-		},
-		Robustness: RobustnessConfig{
-			MaxRounds:       f.MaxRounds,
-			ConvergeGain:    f.ConvergeGain,
-			RevertBelow:     f.RevertBelow,
-			MaxRetries:      f.MaxRetries,
-			QuarantineAfter: f.QuarantineAfter,
-			RetryBackoff:    f.RetryBackoff,
-		},
-		Cache:       CacheConfig{Layout: f.LayoutCache, Disable: f.NoLayoutCache},
-		SkipGate:    f.SkipGate,
-		FlushBuffer: f.FlushBuffer,
-		Metrics:     f.Metrics,
-		Tracer:      f.Tracer,
-		FaultHook:   f.FaultHook,
-		Sleep:       f.Sleep,
-		Clock:       f.Clock,
-		JitterSeed:  f.JitterSeed,
-		Jitter:      f.Jitter,
-		Replay:      f.Replay,
-	}
-}
-
 // backoffJitterFrac scales the jitter added to each retry backoff:
 // sleep = backoff * (1 + frac*jitter), jitter drawn from [0,1).
 const backoffJitterFrac = 0.5
@@ -399,15 +311,6 @@ func seededJitter(seed int64) func() float64 {
 		return r.Float64()
 	}
 }
-
-// sleepOverride substitutes the Sleep behavior of a Clock (Config.Sleep
-// compatibility: tests record backoff waits without waiting).
-type sleepOverride struct {
-	replay.Clock
-	sleep func(time.Duration)
-}
-
-func (c sleepOverride) Sleep(d time.Duration) { c.sleep(d) }
 
 // ServicePlan names everything needed to stand up one managed service,
 // replacing NewService's positional (name, w, input, threads, opts)
@@ -445,8 +348,7 @@ type Service struct {
 	topdown   cpu.TopDown
 	baseline  wl.WindowStats
 	lastErr   error
-	root      *trace.Span  // per-service trace root, nil without a tracer
-	emit      func(func()) // wave flusher hook; nil = inline writes
+	root      *trace.Span // per-service trace root, nil without a tracer
 	clock     replay.Clock
 	addedAt   time.Time
 	updatedAt time.Time
@@ -520,21 +422,6 @@ func (s *Service) setRoot(sp *trace.Span) {
 	s.Ctl.SetTraceRoot(sp)
 }
 
-// setEmit installs (or clears, with nil) the wave's async write hook:
-// while set, the service's lifecycle events route through the wave
-// flusher instead of being journaled inline.
-func (s *Service) setEmit(fn func(func())) {
-	s.mu.Lock()
-	s.emit = fn
-	s.mu.Unlock()
-}
-
-// Measure measures the service's current throughput over the scan
-// window (opts.MinThroughput is ignored: Measure reports, Scan gates).
-func (s *Service) Measure(opts ScanOptions) float64 {
-	return wl.Measure(s.Proc, s.Driver, opts.Window)
-}
-
 // ProfileStore returns the service's streaming sample store (nil when
 // drift ingestion is disabled).
 func (s *Service) ProfileStore() *profile.Store { return s.store }
@@ -600,16 +487,11 @@ func (sh *mgrShard) snapshot() []*Service {
 type Manager struct {
 	cfg      Config
 	pauseSem chan struct{}
-	clock    replay.Clock   // cfg.Clock, session-wrapped, Sleep-overridden
-	jitter   func() float64 // backoff jitter source, session-wrapped
+	clock    replay.Clock   // cfg.Clock, session-wrapped
+	jitter   func() float64 // seeded backoff jitter source, session-wrapped
 	cache    layout.Cache   // fleet-wide layout cache, nil when disabled
 
 	shards []*mgrShard
-
-	// fl is the wave's write flusher. It is installed before a wave's
-	// workers start and cleared after they join, so worker goroutines
-	// read it race-free; outside a wave it is nil and writes are inline.
-	fl *flusher
 
 	pmu       sync.Mutex // pause accounting, separate from shard locks
 	inPause   int
@@ -625,14 +507,6 @@ func NewManager(cfg Config) (*Manager, error) {
 		return nil, err
 	}
 	registerBaseMetrics(cfg.Metrics)
-	clock := cfg.Clock
-	if cfg.Sleep != nil {
-		clock = sleepOverride{Clock: clock, sleep: cfg.Sleep}
-	}
-	jitter := cfg.Jitter
-	if jitter == nil {
-		jitter = seededJitter(cfg.JitterSeed)
-	}
 	cache := cfg.Cache.Layout
 	if cache == nil && !cfg.Cache.Disable {
 		cache = layout.NewMemory(0, cfg.Metrics)
@@ -644,8 +518,8 @@ func NewManager(cfg Config) (*Manager, error) {
 	return &Manager{
 		cfg:      cfg,
 		pauseSem: make(chan struct{}, cfg.MaxPauses),
-		clock:    cfg.Replay.Clock(clock),
-		jitter:   cfg.Replay.Jitter(jitter),
+		clock:    cfg.Replay.Clock(cfg.Clock),
+		jitter:   cfg.Replay.Jitter(seededJitter(cfg.JitterSeed)),
 		cache:    cache,
 		shards:   shards,
 	}, nil
@@ -726,12 +600,7 @@ func (m *Manager) AddService(plan ServicePlan) (*Service, error) {
 		return nil, err
 	}
 	if m.cfg.Drift.Enabled {
-		s.store = profile.NewStore(profile.StoreOptions{
-			Service:  s.Name,
-			Capacity: m.cfg.Drift.StoreCapacity,
-			HalfLife: m.cfg.Drift.StoreHalfLife,
-			Replay:   m.cfg.Replay,
-		})
+		s.store = profile.NewStore(profile.StoreOptions{Service: s.Name, Replay: m.cfg.Replay})
 		s.tracker = profile.NewTracker()
 		// The continuous sampler streams into the store for the life of
 		// the service; its sample timing goes through the same replay
@@ -768,24 +637,11 @@ func (m *Manager) Services() []*Service {
 	return out
 }
 
-// async routes one trace/telemetry write through the wave's flusher
-// when one is installed, and runs it inline otherwise.
-func (m *Manager) async(fn func()) {
-	if f := m.fl; f != nil {
-		f.enqueue(fn)
-		return
-	}
-	fn()
-}
-
 // ScanResult is the first-stage verdict for one service.
 type ScanResult struct {
 	Service  *Service
 	TopDown  cpu.TopDown
 	Optimize bool
-	// Throughput is the service's measured req/s over the scan window;
-	// only populated when ScanOptions.MinThroughput gating is on.
-	Throughput float64
 	// Drift marks a verdict produced by a drift scan (ScanOptions.Drift):
 	// Optimize then means "the live profile diverged from the layout's
 	// build profile and every hysteresis guard passed", DriftScore is the
@@ -796,27 +652,16 @@ type ScanResult struct {
 	DriftReason string
 }
 
-// ScanOptions configures a fleet scan. The zero value scans with the
-// manager's configured window and no throughput floor, so
-// Scan(ScanOptions{}) is the common fleet pass.
+// ScanOptions configures a fleet scan. The zero value is the common
+// fleet pass: a TopDown check of every service over
+// Config.Timing.Window.
 type ScanOptions struct {
-	// Window is the simulated TopDown (and throughput) measurement
-	// window per service; 0 means Config.Timing.Window.
-	Window float64
-	// MinThroughput, when positive, additionally measures each service's
-	// current throughput over Window and withholds optimization from
-	// services below the floor: near-idle services don't repay a
-	// stop-the-world pause, whatever their TopDown shape says.
-	MinThroughput float64
 	// Drift switches the scan to drift mode: instead of TopDown-gating
 	// Idle services, the scan walks Steady services with streaming
 	// stores, scores each live window against its layout's build profile
 	// and selects the ones whose drift verdict fired. Requires
-	// Config.Drift.Enabled.
+	// Config.Drift.Enabled; the hysteresis is Config.Drift.Policy.
 	Drift bool
-	// ReoptPolicy overrides Config.Drift.Policy for this drift scan
-	// (nil = the configured policy).
-	ReoptPolicy *profile.ReoptPolicy
 }
 
 // Scan runs the first-stage TopDown check on every service (the
@@ -828,22 +673,13 @@ type ScanOptions struct {
 // another shard's in-flight replacements.
 func (m *Manager) Scan(opts ScanOptions) []ScanResult {
 	if opts.Drift {
-		return m.driftScan(opts)
-	}
-	if opts.Window == 0 {
-		opts.Window = m.cfg.Timing.Window
+		return m.driftScan()
 	}
 	services := m.Services()
 	out := make([]ScanResult, 0, len(services))
 	for _, s := range services {
-		optimize, td := s.Ctl.ShouldOptimize(opts.Window)
+		optimize, td := s.Ctl.ShouldOptimize(m.cfg.Timing.Window)
 		r := ScanResult{Service: s, TopDown: td, Optimize: optimize}
-		if opts.MinThroughput > 0 {
-			r.Throughput = s.Measure(ScanOptions{Window: opts.Window})
-			if r.Throughput < opts.MinThroughput {
-				r.Optimize = false
-			}
-		}
 		s.mu.Lock()
 		s.scanned = true
 		s.selected = r.Optimize || m.cfg.SkipGate
@@ -867,14 +703,8 @@ func (m *Manager) Scan(opts ScanOptions) []ScanResult {
 // the score is recomputed bit-exactly on replay from the replayed sample
 // stream, so a drift-triggered wave replays byte-identically. Order is
 // deterministic: divergence score descending, then name ascending.
-func (m *Manager) driftScan(opts ScanOptions) []ScanResult {
+func (m *Manager) driftScan() []ScanResult {
 	pol := m.cfg.Drift.Policy
-	if opts.ReoptPolicy != nil {
-		pol = opts.ReoptPolicy.WithDefaults()
-		if pol.Window == 0 {
-			pol.Window = m.cfg.Timing.ProfileDur
-		}
-	}
 	var out []ScanResult
 	for _, s := range m.Services() {
 		if s.State() != Steady || s.store == nil || s.tracker == nil {
@@ -900,12 +730,10 @@ func (m *Manager) driftScan(opts ScanOptions) []ScanResult {
 		s.selected = dec.Trigger
 		td := s.topdown
 		s.mu.Unlock()
-		m.async(func() {
-			s.rootSpan().Event(trace.EvDriftDecision,
-				trace.Float("score", dec.Score),
-				trace.Bool("trigger", dec.Trigger),
-				trace.String("reason", dec.Reason))
-		})
+		s.rootSpan().Event(trace.EvDriftDecision,
+			trace.Float("score", dec.Score),
+			trace.Bool("trigger", dec.Trigger),
+			trace.String("reason", dec.Reason))
 		out = append(out, ScanResult{
 			Service:     s,
 			TopDown:     td,
@@ -948,41 +776,23 @@ func (m *Manager) Run() (*FleetReport, error) {
 	return m.Report(), nil
 }
 
-// WaveOptions configures one optimization wave.
-type WaveOptions struct {
-	// Serial drives the wave one service at a time in scan order,
-	// bypassing the shard queues and the worker budget. It is forced
-	// automatically while a record/replay session is active: replay
-	// needs a deterministic decision order.
-	Serial bool
-	// NoCache runs this wave without the fleet layout cache: every
-	// service pays its own perf2bolt+BOLT pipeline (the redundant-work
-	// baseline the cache is measured against).
-	NoCache bool
-	// ReoptPolicy overrides Config.Drift.Policy for this wave's re-opt
-	// budget enforcement: when the scan carries drift verdicts, at most
-	// Policy.ShardBudget triggered services per shard are driven (ordered
-	// by divergence score) and the rest are demoted to "budget" — a
-	// fleet-wide phase turn must not become a fleet-wide pause storm.
-	// Nil means the configured policy.
-	ReoptPolicy *profile.ReoptPolicy
-}
+// WaveOptions configures one optimization wave. It has no fields: every
+// wave knob lives in Config, and the struct keeps Optimize's signature
+// stable for its callers.
+type WaveOptions struct{}
 
 // Optimize drives every scan-selected service (every scanned service
 // when SkipGate is set) through the lifecycle concurrently: selected
 // services split into their name-hashed shard queues, each queue drains
 // independently, and the global Config.Workers budget bounds how many
 // lifecycles run at once across all shards. Unselected services
-// transition Idle → Steady untouched. Trace-journal and telemetry
-// writes are batched through a bounded flusher for the duration of the
-// wave (unless the wave is serial); everything is flushed before
-// Optimize returns. It blocks until the whole wave reaches a terminal
-// state.
-func (m *Manager) Optimize(scan []ScanResult, wave WaveOptions) {
+// transition Idle → Steady untouched. Drift verdicts are capped at
+// Config.Drift.Policy.ShardBudget triggered services per shard (in
+// divergence order); the overflow is demoted to "budget", so a
+// fleet-wide phase turn never becomes a fleet-wide pause storm. It
+// blocks until the whole wave reaches a terminal state.
+func (m *Manager) Optimize(scan []ScanResult, _ WaveOptions) {
 	pol := m.cfg.Drift.Policy
-	if wave.ReoptPolicy != nil {
-		pol = wave.ReoptPolicy.WithDefaults()
-	}
 	budgetUsed := make(map[int]int)
 	var selected []*Service
 	for _, r := range scan {
@@ -1010,12 +820,10 @@ func (m *Manager) Optimize(scan []ScanResult, wave WaveOptions) {
 				s.mu.Unlock()
 				dec := profile.Decision{Score: r.DriftScore, Reason: profile.ReasonBudget}
 				dec.Journal(m.cfg.Replay, s.Name)
-				m.async(func() {
-					s.rootSpan().Event(trace.EvDriftDecision,
-						trace.Float("score", dec.Score),
-						trace.Bool("trigger", false),
-						trace.String("reason", dec.Reason))
-				})
+				s.rootSpan().Event(trace.EvDriftDecision,
+					trace.Float("score", dec.Score),
+					trace.Bool("trigger", false),
+					trace.String("reason", dec.Reason))
 				continue
 			}
 			budgetUsed[shard]++
@@ -1033,30 +841,17 @@ func (m *Manager) Optimize(scan []ScanResult, wave WaveOptions) {
 		m.cfg.Metrics.Gauge("fleet_services").Set(float64(len(scan)))
 		m.cfg.Metrics.Gauge("fleet_selected").Set(float64(len(selected)))
 	}
-	cache := m.cache
-	if wave.NoCache {
-		cache = nil
-	}
 	for _, s := range selected {
-		s.Ctl.SetLayoutCache(cache)
+		s.Ctl.SetLayoutCache(m.cache)
 	}
 
-	if wave.Serial || m.cfg.Replay.Active() {
-		// One service at a time in scan order; writes stay inline so the
-		// replay journal sees every decision at its program point.
+	if m.cfg.Replay.Active() {
+		// One service at a time in scan order: replay needs a
+		// deterministic decision order.
 		for _, s := range selected {
 			m.drive(s)
 		}
 		return
-	}
-
-	var fl *flusher
-	if m.cfg.FlushBuffer >= 0 {
-		fl = newFlusher(m.cfg.FlushBuffer)
-		m.fl = fl
-		for _, s := range selected {
-			s.setEmit(fl.enqueue)
-		}
 	}
 
 	// Per-shard queues drain independently; the token channel is the
@@ -1090,14 +885,6 @@ func (m *Manager) Optimize(scan []ScanResult, wave WaveOptions) {
 		}(q)
 	}
 	wg.Wait()
-
-	if fl != nil {
-		m.fl = nil
-		for _, s := range selected {
-			s.setEmit(nil)
-		}
-		fl.close()
-	}
 }
 
 // acquirePause takes a slot in the global stop-the-world budget,
@@ -1114,11 +901,8 @@ func (m *Manager) acquirePause() {
 	peak := m.peakPause
 	m.pmu.Unlock()
 	if mt := m.cfg.Metrics; mt != nil {
-		wait := m.clock.Now().Sub(t0).Seconds()
-		m.async(func() {
-			mt.Histogram("fleet_pause_wait_seconds").Observe(wait)
-			mt.Gauge("fleet_pauses_peak").Set(float64(peak))
-		})
+		mt.Histogram("fleet_pause_wait_seconds").Observe(m.clock.Now().Sub(t0).Seconds())
+		mt.Gauge("fleet_pauses_peak").Set(float64(peak))
 	}
 }
 

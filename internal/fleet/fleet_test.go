@@ -3,12 +3,12 @@ package fleet
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/layout"
 	"repro/internal/profile"
 	"repro/internal/workloads/kvcache"
 	"repro/internal/workloads/sqldb"
+	"repro/internal/workloads/wl"
 )
 
 func TestFleetScanAndOptimize(t *testing.T) {
@@ -39,7 +39,7 @@ func TestFleetScanAndOptimize(t *testing.T) {
 	for _, s := range m.Services() {
 		s.Proc.RunFor(0.002)
 	}
-	scan := m.Scan(ScanOptions{Window: 0.002})
+	scan := m.Scan(ScanOptions{})
 	if len(scan) != 2 {
 		t.Fatal("scan lost services")
 	}
@@ -79,7 +79,10 @@ func TestFleetRevertSafetyNet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewManager(Config{Robustness: RobustnessConfig{MaxRounds: 1, RevertBelow: 99}})
+	m, err := NewManager(Config{
+		Robustness: RobustnessConfig{MaxRounds: 1, RevertBelow: 99},
+		Timing:     TimingConfig{Window: 0.002},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +93,7 @@ func TestFleetRevertSafetyNet(t *testing.T) {
 	s.Proc.RunFor(0.002)
 	// Absurd revert threshold: even a good speedup gets reverted, proving
 	// the safety net restores ~original throughput.
-	m.Optimize(m.Scan(ScanOptions{Window: 0.002}), WaveOptions{})
+	m.Optimize(m.Scan(ScanOptions{}), WaveOptions{})
 	if st := s.State(); st != Reverted {
 		t.Fatalf("service ended %s, want Reverted", st)
 	}
@@ -102,7 +105,7 @@ func TestFleetRevertSafetyNet(t *testing.T) {
 	if rep.Baseline <= 0 {
 		t.Fatalf("no baseline recorded: %+v", rep)
 	}
-	if ratio := s.Measure(ScanOptions{Window: 0.003}) / rep.Baseline; ratio < 0.85 || ratio > 1.15 {
+	if ratio := wl.Measure(s.Proc, s.Driver, 0.003) / rep.Baseline; ratio < 0.85 || ratio > 1.15 {
 		t.Errorf("reverted service at %.2fx of baseline; want ≈1.0", ratio)
 	}
 }
@@ -112,7 +115,7 @@ func TestScanDeterministicOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewManager(Config{})
+	m, err := NewManager(Config{Timing: TimingConfig{Window: 0.0004}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +128,7 @@ func TestScanDeterministicOrder(t *testing.T) {
 		}
 		s.Proc.RunFor(0.0004)
 	}
-	scan := m.Scan(ScanOptions{Window: 0.0004})
+	scan := m.Scan(ScanOptions{})
 	var got []string
 	for _, r := range scan {
 		got = append(got, r.Service.Name)
@@ -175,8 +178,6 @@ func TestConfigDefaultsAndValidation(t *testing.T) {
 		{Drift: DriftConfig{Enabled: true, Policy: profile.ReoptPolicy{MinDivergence: -0.5}}},
 		{Drift: DriftConfig{Enabled: true, Policy: profile.ReoptPolicy{MinDwell: -1}}},
 		{Drift: DriftConfig{Enabled: true, Policy: profile.ReoptPolicy{Cooldown: -1}}},
-		{Drift: DriftConfig{StoreCapacity: -1}},
-		{Drift: DriftConfig{StoreHalfLife: -0.5}},
 	} {
 		if _, err := NewManager(bad); err == nil {
 			t.Errorf("config %+v accepted, want error", bad)
@@ -195,36 +196,6 @@ func TestConfigDefaultsAndValidation(t *testing.T) {
 	}
 	if dcfg.Drift.Policy.MinDivergence != 0.35 || dcfg.Drift.Policy.Window != dcfg.Timing.ProfileDur {
 		t.Errorf("drift defaults not filled: %+v", dcfg.Drift.Policy)
-	}
-}
-
-// TestFlatConfigCompat pins the one-release migration path: a FlatConfig
-// carrying the old flat fields converts to the identical nested Config.
-func TestFlatConfigCompat(t *testing.T) {
-	flat := FlatConfig{
-		Workers: 3, MaxPauses: 2, Shards: 5,
-		MaxRounds: 4, ConvergeGain: 0.05, RevertBelow: 1.01,
-		MaxRetries: 1, QuarantineAfter: 9, RetryBackoff: time.Millisecond,
-		ProfileDur: 0.001, Warm: 0.002, Window: 0.003,
-		NoLayoutCache: true, SkipGate: true, JitterSeed: 7,
-	}
-	cfg := flat.Config()
-	if cfg.Workers != 3 || cfg.MaxPauses != 2 || cfg.Shards != 5 || !cfg.SkipGate || cfg.JitterSeed != 7 {
-		t.Errorf("top-level fields lost: %+v", cfg)
-	}
-	if cfg.Timing != (TimingConfig{ProfileDur: 0.001, Warm: 0.002, Window: 0.003}) {
-		t.Errorf("timing fields lost: %+v", cfg.Timing)
-	}
-	want := RobustnessConfig{MaxRounds: 4, ConvergeGain: 0.05, RevertBelow: 1.01,
-		MaxRetries: 1, QuarantineAfter: 9, RetryBackoff: time.Millisecond}
-	if cfg.Robustness != want {
-		t.Errorf("robustness fields lost: %+v", cfg.Robustness)
-	}
-	if !cfg.Cache.Disable {
-		t.Errorf("NoLayoutCache not mapped: %+v", cfg.Cache)
-	}
-	if _, err := NewManager(cfg); err != nil {
-		t.Errorf("converted config rejected: %v", err)
 	}
 }
 

@@ -46,9 +46,11 @@ func benchEnvInt(name string, def int) int {
 // TestFleetWaveBench is the fleet-scale benchmark behind
 // scripts/bench.sh: a mixed-workload wave (replicas of three distinct
 // images, so the cache sees both reuse and genuine misses) through the
-// sharded manager, meant to run under -race. Gated behind
-// FLEET_BENCH_OUT because a thousand services is a benchmark, not a
-// unit test; FLEET_BENCH_SERVICES scales it down for the CI smoke.
+// sharded manager. scripts/bench.sh runs it without -race so the wave
+// time measures the fleet, not the race detector; the CI smoke runs a
+// small homogeneous wave under -race. Gated behind FLEET_BENCH_OUT
+// because a thousand services is a benchmark, not a unit test;
+// FLEET_BENCH_SERVICES scales it down for the CI smoke.
 func TestFleetWaveBench(t *testing.T) {
 	out := os.Getenv("FLEET_BENCH_OUT")
 	if out == "" {
@@ -98,7 +100,7 @@ func TestFleetWaveBench(t *testing.T) {
 			MaxRounds:    1,
 			RetryBackoff: time.Microsecond,
 		},
-		Sleep:   func(time.Duration) {},
+		Clock:   &sleepRecorder{},
 		Metrics: reg,
 	})
 	if err != nil {

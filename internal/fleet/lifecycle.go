@@ -119,24 +119,13 @@ func (s *Service) transition(to State) error {
 	s.state = to
 	s.updatedAt = stamp
 	root := s.root
-	emit := s.emit
 	s.mu.Unlock()
 	// Journal the edge outside the lock: event emission takes the
-	// tracer's own locks and must never nest inside s.mu. During a
-	// concurrent wave the write goes through the flusher — the drain
-	// preserves enqueue order, and a service's transitions are enqueued
-	// sequentially by its one worker, so per-service event order holds.
-	write := func() {
-		root.Event(trace.EvTransition,
-			trace.String("from", from.String()), trace.String("to", to.String()))
-		if to.Terminal() {
-			root.End(nil)
-		}
-	}
-	if emit != nil {
-		emit(write)
-	} else {
-		write()
+	// tracer's own locks and must never nest inside s.mu.
+	root.Event(trace.EvTransition,
+		trace.String("from", from.String()), trace.String("to", to.String()))
+	if to.Terminal() {
+		root.End(nil)
 	}
 	return nil
 }
@@ -157,15 +146,14 @@ type RoundResult struct {
 }
 
 // counter bumps an unlabeled fleet counter (the registry is a nil-safe
-// sink when metrics are discarded). Routed through the wave flusher so
-// a thousand workers don't serialize on the registry lock mid-wave.
+// sink when metrics are discarded).
 func (m *Manager) counter(name string) {
-	m.async(func() { m.cfg.Metrics.Counter(name).Inc() })
+	m.cfg.Metrics.Counter(name).Inc()
 }
 
-// stageCounter bumps a per-stage fleet counter vector (flusher-routed).
+// stageCounter bumps a per-stage fleet counter vector.
 func (m *Manager) stageCounter(name string, stage State) {
-	m.async(func() { m.cfg.Metrics.CounterVec(name, "stage").With(stage.String()).Inc() })
+	m.cfg.Metrics.CounterVec(name, "stage").With(stage.String()).Inc()
 }
 
 // attempt runs one stage try: the injected fault hook first (tests
@@ -183,10 +171,8 @@ func (m *Manager) attempt(s *Service, stage State, fn func() error) error {
 			return nil
 		})
 	if err != nil {
-		m.async(func() {
-			s.rootSpan().EventErr(trace.EvFaultInjected, err,
-				trace.String("stage", stage.String()))
-		})
+		s.rootSpan().EventErr(trace.EvFaultInjected, err,
+			trace.String("stage", stage.String()))
 		return err
 	}
 	return fn()
@@ -217,18 +203,13 @@ func (m *Manager) withRetry(s *Service, stage State, fn func() error) error {
 		s.retries++
 		s.mu.Unlock()
 		root := s.rootSpan()
-		att := att
-		m.async(func() {
-			root.EventErr(trace.EvRetry, err,
-				trace.String("stage", stage.String()), trace.Int("attempt", att+1))
-		})
+		root.EventErr(trace.EvRetry, err,
+			trace.String("stage", stage.String()), trace.Int("attempt", att+1))
 		m.stageCounter("fleet_retries_total", stage)
 		wait := backoff + time.Duration(float64(backoff)*backoffJitterFrac*m.jitter())
-		m.async(func() {
-			root.Event(trace.EvBackoff,
-				trace.String("stage", stage.String()),
-				trace.Float("seconds", wait.Seconds()))
-		})
+		root.Event(trace.EvBackoff,
+			trace.String("stage", stage.String()),
+			trace.Float("seconds", wait.Seconds()))
 		m.clock.Sleep(wait)
 		backoff *= 2
 	}
@@ -387,10 +368,8 @@ func (m *Manager) drive(s *Service) {
 		s.mu.Unlock()
 		m.counter("fleet_rounds_total")
 		if mt := m.cfg.Metrics; mt != nil {
-			m.async(func() {
-				mt.Histogram("fleet_speedup").Observe(res.Speedup)
-				mt.Histogram("fleet_pause_seconds").Observe(rs.PauseSeconds)
-			})
+			mt.Histogram("fleet_speedup").Observe(res.Speedup)
+			mt.Histogram("fleet_pause_seconds").Observe(rs.PauseSeconds)
 		}
 
 		// Regression guard (§VI-C4): cumulative speedup below the bar
@@ -449,14 +428,11 @@ func (m *Manager) revert(s *Service) {
 // loop. Unlike Failed, nothing about the service is wedged or suspect —
 // every failed round was rolled back transactionally.
 func (m *Manager) quarantine(s *Service) {
-	err, rollbacks := s.Err(), s.Rollbacks()
-	m.async(func() {
-		s.rootSpan().EventErr(trace.EvQuarantine, err,
-			trace.Int("rollbacks", rollbacks))
-	})
+	s.rootSpan().EventErr(trace.EvQuarantine, s.Err(),
+		trace.Int("rollbacks", s.Rollbacks()))
 	s.transition(Quarantined)
 	m.counter("fleet_quarantines_total")
-	m.async(func() { m.cfg.Metrics.Gauge("fleet_quarantined").Add(1) })
+	m.cfg.Metrics.Gauge("fleet_quarantined").Add(1)
 }
 
 // cleanupFault resolves a persistently failed stage: if optimized code

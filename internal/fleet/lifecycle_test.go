@@ -2,13 +2,50 @@ package fleet
 
 import (
 	"errors"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/replay"
 	"repro/internal/telemetry"
 	"repro/internal/workloads/sqldb"
 )
+
+// sleepRecorder is the fleet tests' replay.Clock: it reads the host
+// clock but never waits, appending each backoff Sleep duration instead.
+// Concurrent waves sleep from several workers, so appends are locked.
+type sleepRecorder struct {
+	replay.Wall
+	mu     sync.Mutex
+	sleeps []time.Duration
+}
+
+func (c *sleepRecorder) Sleep(d time.Duration) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.sleeps = append(c.sleeps, d)
+}
+
+// Sleeps returns a copy of the recorded waits, in call order.
+func (c *sleepRecorder) Sleeps() []time.Duration {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]time.Duration(nil), c.sleeps...)
+}
+
+// backoffWaits is the exact schedule of n retry waits from a 4 ms
+// RetryBackoff under the given JitterSeed: each wait is the doubling
+// base plus its share of the seed's next jitter draw.
+func backoffWaits(seed int64, n int) []time.Duration {
+	jitter := seededJitter(seed)
+	var waits []time.Duration
+	for base := 4 * time.Millisecond; len(waits) < n; base *= 2 {
+		waits = append(waits, base+time.Duration(float64(base)*backoffJitterFrac*jitter()))
+	}
+	return waits
+}
 
 func TestTransitionTable(t *testing.T) {
 	all := []State{Idle, Profiling, Building, Replacing, Measuring, Steady, Reverted, Failed, Quarantined}
@@ -95,7 +132,7 @@ func faultFleet(t *testing.T, maxRounds int, hook func(s *Service, stage State) 
 			MaxRetries:   1,
 			RetryBackoff: time.Microsecond,
 		},
-		Sleep:     func(time.Duration) {},
+		Clock:     &sleepRecorder{},
 		SkipGate:  true,
 		Timing:    TimingConfig{ProfileDur: 0.0004, Warm: 0.00015, Window: 0.0002},
 		Metrics:   reg,
@@ -174,7 +211,7 @@ func TestInjectedFaults(t *testing.T) {
 
 func TestRetryBackoffRecovers(t *testing.T) {
 	boom := errors.New("transient build fault")
-	var sleeps []time.Duration
+	clock := &sleepRecorder{}
 	attempts := 0
 	db, err := sqldb.Build(sqldb.Small())
 	if err != nil {
@@ -187,8 +224,7 @@ func TestRetryBackoffRecovers(t *testing.T) {
 			MaxRetries:   2,
 			RetryBackoff: 4 * time.Millisecond,
 		},
-		Sleep:    func(d time.Duration) { sleeps = append(sleeps, d) },
-		Jitter:   func() float64 { return 0 }, // pin: assert the pure doubling base
+		Clock:    clock,
 		SkipGate: true,
 		Timing:   TimingConfig{ProfileDur: 0.0004, Warm: 0.00015, Window: 0.0002},
 		FaultHook: func(s *Service, stage State) error {
@@ -226,8 +262,8 @@ func TestRetryBackoffRecovers(t *testing.T) {
 	if rep.Retries != 2 {
 		t.Errorf("report retries = %d, want 2", rep.Retries)
 	}
-	// Backoff doubles per attempt.
-	if len(sleeps) != 2 || sleeps[0] != 4*time.Millisecond || sleeps[1] != 8*time.Millisecond {
-		t.Errorf("backoff sleeps = %v, want [4ms 8ms]", sleeps)
+	// Backoff doubles per attempt, plus the default seed's jitter.
+	if sleeps, want := clock.Sleeps(), backoffWaits(1, 2); !reflect.DeepEqual(sleeps, want) {
+		t.Errorf("backoff sleeps = %v, want %v", sleeps, want)
 	}
 }

@@ -64,7 +64,7 @@ func quarantineManager(t *testing.T, workers int, reg *telemetry.Registry, sess 
 			MaxRetries:   1,
 			RetryBackoff: time.Microsecond,
 		},
-		Sleep:    func(time.Duration) {},
+		Clock:    &sleepRecorder{},
 		SkipGate: true,
 		Timing:   TimingConfig{ProfileDur: 0.0004, Warm: 0.00015, Window: 0.0002},
 		Metrics:  reg,

@@ -91,7 +91,7 @@ func TestFleetQuarantineReplayRoundTrip(t *testing.T) {
 // returns the backoff waits the manager actually slept.
 func retrySchedule(t *testing.T, seed int64) []time.Duration {
 	t.Helper()
-	var sleeps []time.Duration
+	clock := &sleepRecorder{}
 	attempts := 0
 	db, err := sqldb.Build(sqldb.Small())
 	if err != nil {
@@ -105,7 +105,7 @@ func retrySchedule(t *testing.T, seed int64) []time.Duration {
 			RetryBackoff: 4 * time.Millisecond,
 		},
 		JitterSeed: seed,
-		Sleep:      func(d time.Duration) { sleeps = append(sleeps, d) },
+		Clock:      clock,
 		SkipGate:   true,
 		Timing:     TimingConfig{ProfileDur: 0.0004, Warm: 0.00015, Window: 0.0002},
 		FaultHook: func(s *Service, stage State) error {
@@ -136,7 +136,7 @@ func retrySchedule(t *testing.T, seed int64) []time.Duration {
 	if got := s.State(); got != Steady {
 		t.Fatalf("ended %s, want Steady after retries: %v", got, s.Err())
 	}
-	return sleeps
+	return clock.Sleeps()
 }
 
 // TestSeededJitterDeterministic: retry backoff jitter comes from a
@@ -150,14 +150,19 @@ func TestSeededJitterDeterministic(t *testing.T) {
 	if len(a) != 2 {
 		t.Fatalf("expected 2 backoff waits, got %v", a)
 	}
+	want := backoffWaits(7, 2)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Errorf("same seed diverged: %v vs %v", a, b)
 		}
-		// The jittered share is strictly added to the doubling base.
+		// The jittered share is strictly added to the doubling base, and
+		// is exactly the seed's next draw.
 		base := 4 * time.Millisecond << i
 		if a[i] < base {
 			t.Errorf("wait %v below the doubling base %v", a[i], base)
+		}
+		if a[i] != want[i] {
+			t.Errorf("wait %d = %v, want %v from seed 7", i, a[i], want[i])
 		}
 	}
 	same := len(a) == len(c)

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"testing"
-	"time"
 
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -163,7 +162,7 @@ func TestRetryAndBackoffEvents(t *testing.T) {
 		Robustness: RobustnessConfig{MaxRounds: 1, MaxRetries: 2},
 		SkipGate:   true, Tracer: tr,
 		Timing: TimingConfig{ProfileDur: 0.0008, Warm: 0.0003, Window: 0.0004},
-		Sleep:  func(time.Duration) {},
+		Clock:  &sleepRecorder{},
 		FaultHook: func(s *Service, stage State) error {
 			if stage == Profiling && fails < 1 {
 				fails++

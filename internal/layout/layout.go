@@ -180,7 +180,7 @@ func NewMemory(cap int, reg *telemetry.Registry) *Memory {
 }
 
 // count publishes one lookup outcome. Callers must not hold m.mu: the
-// registry has its own locks and the flusher may be draining into it.
+// registry has its own locks, shared with every fleet worker.
 func (m *Memory) count(o Outcome) {
 	if m.requests != nil {
 		m.requests.With(string(o)).Inc()
