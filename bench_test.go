@@ -71,14 +71,13 @@ func stepProcess(b *testing.B, opts proc.Options) *proc.Process {
 }
 
 // BenchmarkStep measures raw interpreter throughput in simulated
-// instructions per wall-clock second, for all three engines: "super" is
-// the superblock trace engine the scheduler uses by default, "block" the
-// basic-block cache it is built on (superblocks disabled), and "legacy"
-// the per-instruction Step reference path. scripts/bench.sh turns the
-// three into BENCH_proc.json, with legacy as the pre-block-cache
-// baseline.
+// instructions per wall-clock second for both interpreters: "engine" is
+// the trace executor the scheduler uses (block-traces plus promoted
+// superblocks), and "step" the per-instruction Step reference it is
+// pinned to. scripts/bench.sh turns the two into BENCH_proc.json, and
+// scripts/ci.sh gates engine over step.
 func BenchmarkStep(b *testing.B) {
-	b.Run("super", func(b *testing.B) {
+	b.Run("engine", func(b *testing.B) {
 		pr := stepProcess(b, proc.Options{})
 		b.ResetTimer()
 		n := pr.RunUntilHalt(uint64(b.N))
@@ -87,19 +86,10 @@ func BenchmarkStep(b *testing.B) {
 		}
 		b.ReportMetric(float64(n)/b.Elapsed().Seconds(), "inst/s")
 		if b.N > 10000 && pr.SuperblockStats().Insts == 0 {
-			b.Fatal("superblock engine never engaged")
+			b.Fatal("promoted traces never engaged")
 		}
 	})
-	b.Run("block", func(b *testing.B) {
-		pr := stepProcess(b, proc.Options{DisableSuperblocks: true})
-		b.ResetTimer()
-		n := pr.RunUntilHalt(uint64(b.N))
-		if n == 0 || pr.Fault() != nil {
-			b.Fatalf("run failed: n=%d fault=%v", n, pr.Fault())
-		}
-		b.ReportMetric(float64(n)/b.Elapsed().Seconds(), "inst/s")
-	})
-	b.Run("legacy", func(b *testing.B) {
+	b.Run("step", func(b *testing.B) {
 		pr := stepProcess(b, proc.Options{})
 		t := pr.Threads[0]
 		b.ResetTimer()

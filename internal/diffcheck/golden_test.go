@@ -7,9 +7,9 @@ import (
 	"repro/internal/proc"
 )
 
-// legacyRun replicates the scheduler's pre-block-cache quantum loop on
-// top of proc.Step, the per-instruction reference interpreter. It is the
-// "before" side of the cycle-exact equivalence gate.
+// legacyRun replicates the scheduler's quantum loop on top of proc.Step,
+// the per-instruction reference interpreter. It is the reference side of
+// the cycle-exact equivalence gate.
 func legacyRun(p *proc.Process, maxInst uint64) uint64 {
 	var executed uint64
 	for !p.Paused() && p.Fault() == nil {
@@ -33,15 +33,18 @@ func legacyRun(p *proc.Process, maxInst uint64) uint64 {
 	return executed
 }
 
-// TestCycleExactEngineEquivalence pins both fast execution tiers — the
-// basic-block cache and the superblock trace engine layered on it — to
-// the Step reference interpreter: every workload must retire the same
-// instructions AND account the same cycles, to the bit. This is the gate
-// that makes the engine rewrites a pure wall-clock win — any model drift
-// (an event reordered, a stall charged twice, a float added in a
-// different order) shows up as a Stats mismatch here. The superblock run
-// must actually exercise traces (formation plus in-trace retirement), so
-// the gate cannot silently pass by never entering the tier it pins.
+// TestCycleExactEngineEquivalence pins the trace executor — block-traces
+// and the promoted superblocks spliced from them — to the Step reference
+// interpreter: every workload must retire the same instructions AND
+// account the same cycles, to the bit. This is the gate that makes the
+// engine a pure wall-clock win — any model drift (an event reordered, a
+// stall charged twice, a float added in a different order) shows up as a
+// Stats mismatch here. It runs in two modes: the default scheduler
+// quantum, and budgets cycling 1..13 per pick, which cut traces at every
+// offset and so pin mid-trace budget expiry and resume, including in
+// one-block traces and before their SYS and HALT terminators. Each run
+// must actually exercise promoted traces (formation plus in-trace
+// retirement), so the gate cannot silently pass by never entering them.
 func TestCycleExactEngineEquivalence(t *testing.T) {
 	for _, tgt := range Targets() {
 		tgt := tgt
@@ -53,15 +56,19 @@ func TestCycleExactEngineEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				opts := proc.Options{Threads: 1, Handler: d}
-				if mode == "block" {
-					opts.DisableSuperblocks = true
+				if mode == "quanta" {
+					q := 0
+					opts.SchedQuantum = func(_, _ int) int {
+						q = q%13 + 1
+						return q
+					}
 				}
 				p, err := proc.Load(w.Binary, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
 				var n uint64
-				if mode == "legacy" {
+				if mode == "step" {
 					n = legacyRun(p, defaultMaxInst)
 				} else {
 					n = p.RunUntilHalt(defaultMaxInst)
@@ -71,14 +78,14 @@ func TestCycleExactEngineEquivalence(t *testing.T) {
 				}
 				return p.Stats(), n, p.SuperblockStats()
 			}
-			ref, refN, _ := run("legacy")
-			for _, mode := range []string{"super", "block"} {
+			ref, refN, _ := run("step")
+			for _, mode := range []string{"engine", "quanta"} {
 				got, gotN, sb := run(mode)
 				if gotN != refN {
-					t.Errorf("%s engine executed %d instructions, reference %d", mode, gotN, refN)
+					t.Errorf("%s run executed %d instructions, reference %d", mode, gotN, refN)
 				}
 				if got != ref {
-					t.Errorf("%s engine diverged from reference interpreter:\n"+
+					t.Errorf("%s run diverged from reference interpreter:\n"+
 						"  golden quad %s: insts=%d cycles=%v L1iMisses=%d mispredicts=%d\n"+
 						"  golden quad ref: insts=%d cycles=%v L1iMisses=%d mispredicts=%d\n"+
 						"  full %s: %+v\n  full ref: %+v",
@@ -87,15 +94,8 @@ func TestCycleExactEngineEquivalence(t *testing.T) {
 						ref.Instructions, ref.Cycles, ref.L1iMisses, ref.Mispredicts,
 						mode, got, ref)
 				}
-				switch mode {
-				case "super":
-					if sb.Formed == 0 || sb.Insts == 0 {
-						t.Errorf("superblock engine never exercised traces on %s: %+v", tgt.Name, sb)
-					}
-				case "block":
-					if sb.Formed != 0 || sb.Insts != 0 {
-						t.Errorf("DisableSuperblocks run still used traces: %+v", sb)
-					}
+				if sb.Formed == 0 || sb.Insts == 0 {
+					t.Errorf("%s run never exercised promoted traces on %s: %+v", mode, tgt.Name, sb)
 				}
 			}
 		})

@@ -74,24 +74,35 @@ func TestRecorderDetachesCleanly(t *testing.T) {
 			t.Error("LBR still enabled after Stop")
 		}
 	}
-	if pr.SampleHook != nil {
-		t.Error("sample hook still installed after Stop")
+	// With LBR back on, a still-installed hook would keep appending
+	// samples to the returned profile.
+	n := len(raw.Samples)
+	for _, th := range pr.Threads {
+		th.Core.LBREnabled = true
+	}
+	pr.RunFor(0.0005)
+	if len(raw.Samples) != n {
+		t.Errorf("profile gained %d samples after Stop: sample hook still installed",
+			len(raw.Samples)-n)
 	}
 }
 
 func TestNestedHooksCompose(t *testing.T) {
 	pr := loopProcess(t)
 	outerCalls := 0
-	pr.SampleHook = func(*proc.Thread) { outerCalls++ }
+	removeOuter := pr.AddSampleHook(func(*proc.Thread) { outerCalls++ })
 	rec := Attach(pr, RecorderOptions{})
 	pr.RunFor(0.0003)
 	rec.Stop()
 	if outerCalls == 0 {
 		t.Error("pre-existing sample hook was not chained")
 	}
-	if pr.SampleHook == nil {
-		t.Error("original hook not restored")
+	o0 := outerCalls
+	pr.RunFor(0.0001)
+	if outerCalls == o0 {
+		t.Error("pre-existing sample hook removed by recorder Stop")
 	}
+	removeOuter()
 }
 
 func TestNoDuplicateRecordsAcrossSamples(t *testing.T) {
@@ -136,26 +147,28 @@ func TestNoDuplicateRecordsAcrossSamples(t *testing.T) {
 
 func TestAttachChainStop(t *testing.T) {
 	// attach → chain another hook → stop: the recorder must remove only
-	// its own registration, not clobber the hook chained after it.
+	// its own registration, not clobber the hooks installed before or
+	// chained after it.
 	pr := loopProcess(t)
-	fieldCalls, lateCalls := 0, 0
-	pr.SampleHook = func(*proc.Thread) { fieldCalls++ }
+	earlyCalls, lateCalls := 0, 0
+	removeEarly := pr.AddSampleHook(func(*proc.Thread) { earlyCalls++ })
 	rec := Attach(pr, RecorderOptions{})
 	removeLate := pr.AddSampleHook(func(*proc.Thread) { lateCalls++ })
 	pr.RunFor(0.0003)
 	rec.Stop()
-	if fieldCalls == 0 || lateCalls == 0 {
-		t.Fatalf("hooks not called before stop: field=%d late=%d", fieldCalls, lateCalls)
+	if earlyCalls == 0 || lateCalls == 0 {
+		t.Fatalf("hooks not called before stop: early=%d late=%d", earlyCalls, lateCalls)
 	}
-	f0, l0 := fieldCalls, lateCalls
+	e0, l0 := earlyCalls, lateCalls
 	pr.RunFor(0.0001)
-	if fieldCalls == f0 {
-		t.Error("field hook clobbered by recorder Stop")
+	if earlyCalls == e0 {
+		t.Error("hook installed before attach clobbered by recorder Stop")
 	}
 	if lateCalls == l0 {
 		t.Error("hook chained after attach clobbered by recorder Stop")
 	}
 	removeLate()
+	removeEarly()
 }
 
 func TestThreadStartedAfterAttach(t *testing.T) {

@@ -3,83 +3,54 @@ package proc
 import (
 	"fmt"
 
-	"repro/internal/cpu"
 	"repro/internal/isa"
 	"repro/internal/mem"
 )
 
-// The basic-block engine. Step (exec.go) decodes and dispatches one
-// instruction at a time and stays the reference semantics; runQuantum is
-// the hot path the scheduler uses. It decodes a straight-line run once
-// into a flat block, executes the block with no map lookups, and chains
-// blocks through cached successor pointers. Correctness hinges on two
-// invariants:
+// Block dispatch. Step (exec.go) decodes and dispatches one instruction
+// at a time and stays the reference semantics; runQuantum is the hot
+// path the scheduler uses. It decodes a straight-line run once into a
+// block-trace — a one-block superblock whose terminator always exits —
+// and runs it on the one trace executor (execSuper, super.go). Hot
+// block-traces are promoted: their edge counters plan a longer trace
+// spliced across several blocks, which then runs in their place.
+// Correctness hinges on two invariants:
 //
 //   - every architectural effect and every cpu.Core event happens in
 //     exactly the order Step would produce it, so timing is bit-identical
 //     (guarded by internal/diffcheck's cycle-exact golden test);
-//   - any store into a page holding decoded state invalidates its blocks
+//   - any store into a page holding decoded state invalidates its traces
 //     via the mem write watch before the next instruction from that page
-//     executes — the executor re-checks blk.valid after every
-//     instruction, so even a block overwriting itself stops at the next
-//     boundary, exactly where Step would first see the new bytes.
+//     executes — the executor re-checks sb.valid after every instruction
+//     that can store, so even a trace overwriting itself stops at the
+//     next boundary, exactly where Step would first see the new bytes.
 
-// bbOp is one pre-decoded instruction of a block: the instruction plus
-// its PC and fall-through successor, resolved at build time so the
-// executor does no address arithmetic on the hot path.
-type bbOp struct {
-	in    isa.Inst
-	pc    uint64
-	next  uint64
-	isDiv bool
-}
-
-// basicBlock is a decoded straight-line run: it ends at the first control
-// transfer, SYS (handlers may rewrite anything), undecodable word, or
-// page boundary (invalidation is page-granular, so blocks never span
-// pages). succFall/succTaken cache the fall-through and taken successors;
-// for indirect transfers succTaken acts as a monomorphic inline cache.
-// Successor hints are only hints — the executor validates start and
-// valid before trusting one.
-type basicBlock struct {
-	start     uint64
-	ops       []bbOp
-	valid     bool
-	succFall  *basicBlock
-	succTaken *basicBlock
-
-	// Fixed-bin profiling counters for superblock formation (super.go):
-	// fields on the block itself, binstat-style, so the hot path pays a
-	// plain increment and never a map lookup. heat counts dispatches;
-	// takenCnt/fallCnt profile the terminator's edge when it is a JCC.
-	// super caches the trace headed at this block, if one was formed.
-	heat     uint32
-	takenCnt uint32
-	fallCnt  uint32
-	super    *superblock
-}
-
-// blockAt returns the (valid) block starting at pc, building it on miss.
-// Invalidated blocks are removed from the map, so a hit is always valid.
-func (p *Process) blockAt(pc uint64) (*basicBlock, error) {
+// blockAt returns the (valid) block-trace starting at pc, building it on
+// miss. Invalidated block-traces are removed from the map, so a hit is
+// always valid.
+func (p *Process) blockAt(pc uint64) (*superblock, error) {
 	if b := p.blocks[pc]; b != nil {
 		return b, nil
 	}
 	return p.buildBlock(pc)
 }
 
-// buildBlock decodes the straight-line run starting at pc and registers
-// it for execution and invalidation. A decode error on the first
-// instruction is the caller's fault to raise (identical to what Step
-// would report); an error later just ends the block before the bad word,
-// so the fault surfaces — or doesn't — exactly when execution reaches it.
-func (p *Process) buildBlock(start uint64) (*basicBlock, error) {
+// buildBlock decodes the straight-line run starting at pc into a
+// block-trace and registers it for execution and invalidation. The run
+// ends at the first control transfer, SYS (handlers may rewrite
+// anything), undecodable word, or page boundary (invalidation is
+// page-granular, so block-traces never span pages). A decode error on
+// the first instruction is the caller's fault to raise (identical to
+// what Step would report); an error later just ends the block before the
+// bad word, so the fault surfaces — or doesn't — exactly when execution
+// reaches it.
+func (p *Process) buildBlock(start uint64) (*superblock, error) {
 	if start%isa.InstBytes != 0 {
 		return nil, fmt.Errorf("proc: misaligned PC %#x", start)
 	}
 	pg := start / mem.PageSize
 	pageEnd := (pg + 1) * mem.PageSize
-	blk := &basicBlock{start: start, valid: true}
+	blk := &superblock{head: start, valid: true}
 	for pc := start; pc < pageEnd; pc += isa.InstBytes {
 		in, err := p.decode(pc)
 		if err != nil {
@@ -88,365 +59,76 @@ func (p *Process) buildBlock(start uint64) (*basicBlock, error) {
 			}
 			break
 		}
-		blk.ops = append(blk.ops, bbOp{
+		op := sbOp{
 			in:    in,
 			pc:    pc,
 			next:  pc + isa.InstBytes,
+			cont:  contExit,
 			isDiv: in.Op == isa.DIV || in.Op == isa.MOD,
-		})
+		}
+		switch in.Op {
+		case isa.JMP, isa.JCC, isa.CALL:
+			op.target = uint64(int64(op.next) + in.Imm)
+		}
+		blk.ops = append(blk.ops, op)
 		if in.IsCtrl() || in.Op == isa.SYS {
 			break
 		}
 	}
+	p.planFetchAndRuns(blk)
 	p.blocks[start] = blk
-	p.blockPg[pg] = append(p.blockPg[pg], blk)
+	p.superPg[pg] = append(p.superPg[pg], blk)
 	p.noteCodePage(pg)
 	return blk, nil
 }
 
-// chain resolves a successor hint: reuse the cached block if it still
-// matches, otherwise consult the map and refresh the hint. Returns nil on
-// a cold target; runQuantum builds it.
-func (p *Process) chain(slot **basicBlock, target uint64) *basicBlock {
-	if b := *slot; b != nil && b.valid && b.start == target {
-		return b
-	}
-	b := p.blocks[target]
-	*slot = b
-	return b
-}
-
-// runQuantum executes up to budget instructions on t through the block
-// cache and returns how many completed — the same count the legacy
-// per-Step quantum loop reported (HALT, faults, and halting syscalls are
-// not counted). Hot blocks are promoted to the superblock trace engine
-// (super.go): once a block's heat crosses the formation threshold a
-// trace is spliced from the profiled path and dispatched here instead.
+// runQuantum executes up to budget instructions on t and returns how
+// many completed — the same count the per-Step quantum loop reports
+// (HALT, faults, and halting syscalls are not counted). Each dispatch
+// runs the block-trace at t.PC, or the trace promoted from it once its
+// heat crosses the formation threshold.
 func (p *Process) runQuantum(t *Thread, budget int) int {
 	total := 0
-	var blk *basicBlock
 	if sb := t.resumeSB; sb != nil {
 		// The previous quantum ran dry mid-trace. Re-enter at the saved
 		// op if everything still lines up (the trace may have been
 		// invalidated, or a hook may have moved the PC, in between).
 		t.resumeSB = nil
-		if p.supersEnabled && sb.valid && !t.Halted && budget > 0 &&
+		if sb.valid && !t.Halted && budget > 0 &&
 			t.resumeIdx < len(sb.ops) && sb.ops[t.resumeIdx].pc == t.PC {
 			n := p.execSuper(t, sb, budget, t.resumeIdx)
 			total += n
-			p.superInsts += uint64(n)
+			if sb.spliced() {
+				p.superInsts += uint64(n)
+			}
 		}
 	}
 	for total < budget && !t.Halted {
-		if blk == nil || !blk.valid || blk.start != t.PC {
-			var err error
-			blk, err = p.blockAt(t.PC)
-			if err != nil {
-				p.faultThread(t, err)
-				return total
-			}
+		blk, err := p.blockAt(t.PC)
+		if err != nil {
+			p.faultThread(t, err)
+			return total
 		}
-		if p.supersEnabled {
-			if sb := blk.super; sb != nil {
-				if sb.valid {
-					n := p.execSuper(t, sb, budget-total, 0)
-					total += n
-					p.superInsts += uint64(n)
-					blk = nil
-					continue
-				}
-				blk.super = nil
+		sb := blk
+		if hot := blk.hot; hot != nil {
+			if hot.valid {
+				sb = hot
 			} else {
-				blk.heat++
-				if blk.heat >= superHotThreshold {
-					if p.tryFormSuper(blk) != nil {
-						continue // re-dispatch: blk.super is now set
-					}
+				blk.hot = nil
+			}
+		} else {
+			blk.heat++
+			if blk.heat >= superHotThreshold {
+				if hot := p.tryFormSuper(blk); hot != nil {
+					sb = hot
 				}
 			}
 		}
-		n, next := p.execBlock(t, blk, budget-total)
+		n := p.execSuper(t, sb, budget-total, 0)
 		total += n
-		blk = next
+		if sb != blk {
+			p.superInsts += uint64(n)
+		}
 	}
 	return total
-}
-
-// execBlock runs one block until it ends, the budget runs out, the
-// thread halts or faults, or the block is invalidated under its own
-// feet. It returns the number of completed instructions and the next
-// block if the terminator's successor hint resolved (nil otherwise).
-// t.PC is synced on every exit path, never per instruction.
-//
-// There is no per-instruction budget check: a block's terminator is
-// always its last op, so truncating the op slice to the budget leaves
-// only fall-through instructions and the fall-off-the-end epilogue
-// already resumes at exactly the cut point. Only instructions that can
-// store — and so can trigger the write watch — re-check blk.valid; each
-// of those cases carries its own retire epilogue and `continue`s past
-// the shared check-free tail.
-func (p *Process) execBlock(t *Thread, blk *basicBlock, budget int) (int, *basicBlock) {
-	c := t.Core
-	n := 0
-	ops := blk.ops
-	if budget < len(ops) {
-		ops = ops[:budget]
-	}
-	for i := range ops {
-		e := &ops[i]
-		c.Fetch(e.pc)
-		in := &e.in
-
-		switch in.Op {
-		case isa.NOP:
-		case isa.HALT:
-			c.Retire(false)
-			t.PC = e.pc
-			t.Halted = true
-			return n, nil
-
-		case isa.MOVI:
-			t.SetReg(in.Rd, uint64(in.Imm))
-		case isa.MOV:
-			t.SetReg(in.Rd, t.Reg(in.Rs1))
-		case isa.ADD:
-			t.SetReg(in.Rd, t.Reg(in.Rs1)+t.Reg(in.Rs2))
-		case isa.SUB:
-			t.SetReg(in.Rd, t.Reg(in.Rs1)-t.Reg(in.Rs2))
-		case isa.MUL:
-			t.SetReg(in.Rd, t.Reg(in.Rs1)*t.Reg(in.Rs2))
-		case isa.DIV:
-			d := int64(t.Reg(in.Rs2))
-			if d == 0 {
-				t.PC = e.pc
-				p.faultThread(t, fmt.Errorf("proc: divide by zero at PC %#x", e.pc))
-				return n, nil
-			}
-			t.SetReg(in.Rd, uint64(int64(t.Reg(in.Rs1))/d))
-		case isa.MOD:
-			d := int64(t.Reg(in.Rs2))
-			if d == 0 {
-				t.PC = e.pc
-				p.faultThread(t, fmt.Errorf("proc: modulo by zero at PC %#x", e.pc))
-				return n, nil
-			}
-			t.SetReg(in.Rd, uint64(int64(t.Reg(in.Rs1))%d))
-		case isa.AND:
-			t.SetReg(in.Rd, t.Reg(in.Rs1)&t.Reg(in.Rs2))
-		case isa.OR:
-			t.SetReg(in.Rd, t.Reg(in.Rs1)|t.Reg(in.Rs2))
-		case isa.XOR:
-			t.SetReg(in.Rd, t.Reg(in.Rs1)^t.Reg(in.Rs2))
-		case isa.SHL:
-			t.SetReg(in.Rd, t.Reg(in.Rs1)<<(t.Reg(in.Rs2)&63))
-		case isa.SHR:
-			t.SetReg(in.Rd, t.Reg(in.Rs1)>>(t.Reg(in.Rs2)&63))
-		case isa.ADDI:
-			t.SetReg(in.Rd, t.Reg(in.Rs1)+uint64(in.Imm))
-		case isa.MULI:
-			t.SetReg(in.Rd, t.Reg(in.Rs1)*uint64(in.Imm))
-		case isa.ANDI:
-			t.SetReg(in.Rd, t.Reg(in.Rs1)&uint64(in.Imm))
-		case isa.ORI:
-			t.SetReg(in.Rd, t.Reg(in.Rs1)|uint64(in.Imm))
-		case isa.XORI:
-			t.SetReg(in.Rd, t.Reg(in.Rs1)^uint64(in.Imm))
-		case isa.SHLI:
-			t.SetReg(in.Rd, t.Reg(in.Rs1)<<(uint64(in.Imm)&63))
-		case isa.SHRI:
-			t.SetReg(in.Rd, t.Reg(in.Rs1)>>(uint64(in.Imm)&63))
-
-		case isa.LD:
-			addr := t.Reg(in.Rs1) + uint64(in.Imm)
-			c.Mem(addr, false)
-			t.SetReg(in.Rd, p.Mem.ReadWord(addr))
-		case isa.ST:
-			addr := t.Reg(in.Rs1) + uint64(in.Imm)
-			c.Mem(addr, true)
-			p.Mem.WriteWord(addr, t.Reg(in.Rs2))
-			c.Retire(false)
-			n++
-			if !blk.valid {
-				t.PC = e.next
-				return n, nil
-			}
-			continue
-		case isa.LDB:
-			addr := t.Reg(in.Rs1) + uint64(in.Imm)
-			c.Mem(addr, false)
-			t.SetReg(in.Rd, uint64(p.Mem.LoadByte(addr)))
-		case isa.STB:
-			addr := t.Reg(in.Rs1) + uint64(in.Imm)
-			c.Mem(addr, true)
-			p.Mem.StoreByte(addr, byte(t.Reg(in.Rs2)))
-			c.Retire(false)
-			n++
-			if !blk.valid {
-				t.PC = e.next
-				return n, nil
-			}
-			continue
-
-		case isa.CMP:
-			t.CmpVal = int64(t.Reg(in.Rs1)) - int64(t.Reg(in.Rs2))
-		case isa.CMPI:
-			t.CmpVal = int64(t.Reg(in.Rs1)) - in.Imm
-
-		case isa.JMP:
-			target := uint64(int64(e.next) + in.Imm)
-			c.Retire(false)
-			c.Branch(e.pc, target, true, cpu.BrJump, 0)
-			p.dbiTax(c, false)
-			t.PC = target
-			return n + 1, p.chain(&blk.succTaken, target)
-		case isa.JCC:
-			taken := in.Cond.Holds(t.CmpVal)
-			target := e.next
-			if taken {
-				target = uint64(int64(e.next) + in.Imm)
-				blk.takenCnt++
-			} else {
-				blk.fallCnt++
-			}
-			c.Retire(false)
-			c.Branch(e.pc, target, taken, cpu.BrCond, 0)
-			t.PC = target
-			if taken {
-				p.dbiTax(c, false)
-				return n + 1, p.chain(&blk.succTaken, target)
-			}
-			return n + 1, p.chain(&blk.succFall, target)
-		case isa.CALL:
-			target := uint64(int64(e.next) + in.Imm)
-			sp := t.Regs[isa.SP] - 8
-			t.Regs[isa.SP] = sp
-			c.Mem(sp, true)
-			p.Mem.WriteWord(sp, e.next)
-			c.Retire(false)
-			c.Branch(e.pc, target, true, cpu.BrCall, e.next)
-			p.dbiTax(c, false)
-			t.PC = target
-			return n + 1, p.chain(&blk.succTaken, target)
-		case isa.CALLR:
-			target := t.Reg(in.Rs1)
-			sp := t.Regs[isa.SP] - 8
-			t.Regs[isa.SP] = sp
-			c.Mem(sp, true)
-			p.Mem.WriteWord(sp, e.next)
-			c.Retire(false)
-			c.Branch(e.pc, target, true, cpu.BrCallInd, e.next)
-			p.dbiTax(c, true)
-			t.PC = target
-			return n + 1, p.chain(&blk.succTaken, target)
-		case isa.RET:
-			sp := t.Regs[isa.SP]
-			c.Mem(sp, false)
-			target := p.Mem.ReadWord(sp)
-			t.Regs[isa.SP] = sp + 8
-			c.Retire(false)
-			c.Branch(e.pc, target, true, cpu.BrRet, 0)
-			p.dbiTax(c, true)
-			t.PC = target
-			return n + 1, p.chain(&blk.succTaken, target)
-		case isa.JTBL:
-			idx := t.Reg(in.Rs1)
-			slot := uint64(in.Imm) + idx*8
-			c.Mem(slot, false)
-			target := p.Mem.ReadWord(slot)
-			c.Retire(false)
-			c.Branch(e.pc, target, true, cpu.BrJumpTable, 0)
-			p.dbiTax(c, true)
-			t.PC = target
-			return n + 1, p.chain(&blk.succTaken, target)
-
-		case isa.FPTR:
-			v := uint64(in.Imm)
-			if p.fptrHook != nil {
-				// The hook is arbitrary code; re-check validity like a
-				// store in case it rewrote the region under us.
-				v = p.fptrHook(v)
-				c.AddStall(p.opts.FuncPtrHookCost, cpu.BucketRetiring)
-				t.SetReg(in.Rd, v)
-				c.Retire(false)
-				n++
-				if !blk.valid {
-					t.PC = e.next
-					return n, nil
-				}
-				continue
-			}
-			t.SetReg(in.Rd, v)
-
-		case isa.ENTER:
-			sp := t.Regs[isa.SP] - 8
-			c.Mem(sp, true)
-			p.Mem.WriteWord(sp, t.Regs[isa.FP])
-			t.Regs[isa.FP] = sp
-			t.Regs[isa.SP] = sp - uint64(in.Imm)
-			c.Retire(false)
-			n++
-			if !blk.valid {
-				t.PC = e.next
-				return n, nil
-			}
-			continue
-		case isa.LEAVE:
-			fp := t.Regs[isa.FP]
-			c.Mem(fp, false)
-			t.Regs[isa.FP] = p.Mem.ReadWord(fp)
-			t.Regs[isa.SP] = fp + 8
-		case isa.PUSH:
-			sp := t.Regs[isa.SP] - 8
-			t.Regs[isa.SP] = sp
-			c.Mem(sp, true)
-			p.Mem.WriteWord(sp, t.Reg(in.Rs1))
-			c.Retire(false)
-			n++
-			if !blk.valid {
-				t.PC = e.next
-				return n, nil
-			}
-			continue
-		case isa.POP:
-			sp := t.Regs[isa.SP]
-			c.Mem(sp, false)
-			t.SetReg(in.Rd, p.Mem.ReadWord(sp))
-			t.Regs[isa.SP] = sp + 8
-
-		case isa.SYS:
-			// The handler sees the SYS PC, the way Step leaves it.
-			t.PC = e.pc
-			if p.handler == nil {
-				p.faultThread(t, fmt.Errorf("proc: SYS %d with no handler at PC %#x", in.Imm, e.pc))
-				return n, nil
-			}
-			c.AddStall(p.opts.SyscallCost, cpu.BucketBackEnd)
-			if err := p.handler.Syscall(p, t, in.Imm); err != nil {
-				p.faultThread(t, err)
-				return n, nil
-			}
-			c.Retire(false)
-			if t.Halted {
-				return n, nil
-			}
-			// SYS always ends the block: the handler may have rewritten
-			// code, started threads, or paused the process.
-			t.PC = e.next
-			return n + 1, nil
-
-		default:
-			t.PC = e.pc
-			p.faultThread(t, fmt.Errorf("proc: unimplemented op %v at PC %#x", in.Op, e.pc))
-			return n, nil
-		}
-
-		// Shared tail for the store-free cases: nothing here can have
-		// invalidated the block, so no validity re-check is needed.
-		c.Retire(e.isDiv)
-		n++
-	}
-	// Ran out of budget mid-block, or fell off the page end without a
-	// terminator: resume at the next instruction.
-	t.PC = ops[len(ops)-1].next
-	return n, nil
 }

@@ -68,13 +68,6 @@ type Options struct {
 	// default nil keeps the deterministic round-robin; chaos tests and
 	// the record/replay layer inject perturbed or journal-fed sources.
 	SchedQuantum func(tid, proposed int) int
-
-	// DisableSuperblocks turns off the superblock trace engine
-	// (super.go), pinning execution to the basic-block cache. Timing is
-	// identical either way (the trace engine is cycle-exact); the switch
-	// exists for benchmarking the engines against each other and for
-	// bisecting engine bugs.
-	DisableSuperblocks bool
 }
 
 // DBI cost model (cycles), roughly Pin-like: direct branches are chained
@@ -127,31 +120,23 @@ type Process struct {
 	lastPage *decodePage
 	lastIdx  uint64
 
-	// Basic-block cache (the hot execution path; see docs/perf.md).
-	// blocks maps a start PC to its decoded straight-line run, blockPg
-	// indexes blocks by code page for invalidation, and loCodePg/hiCodePg
-	// bound the pages holding any decoded state so the write watch can
-	// dismiss stack and heap stores without a map lookup.
-	blocks   map[uint64]*basicBlock
-	blockPg  map[uint64][]*basicBlock
-	loCodePg uint64
-	hiCodePg uint64
+	// Trace cache (the hot execution path; see docs/perf.md). blocks maps
+	// a start PC to its block-trace (block.go). superPg indexes every
+	// trace — block-traces and promoted traces alike — by each
+	// constituent code page for invalidation: promoted traces span pages,
+	// so one store can invalidate a trace registered on several pages.
+	// loCodePg/hiCodePg bound the pages holding any decoded state so the
+	// write watch can dismiss stack and heap stores without a map lookup.
+	blocks      map[uint64]*superblock
+	superPg     map[uint64][]*superblock
+	loCodePg    uint64
+	hiCodePg    uint64
+	superFormed uint64
+	superInval  uint64
+	superInsts  uint64
 
-	// Superblock trace cache (super.go). superPg indexes every trace by
-	// each constituent code page — traces span pages, so one store can
-	// invalidate a trace registered on several pages.
-	superPg       map[uint64][]*superblock
-	supersEnabled bool
-	superFormed   uint64
-	superInval    uint64
-	superInsts    uint64
-
-	// SampleHook, if set, runs after every scheduler quantum with the
-	// thread that just ran; internal/perf uses it to poll LBR sample
-	// deadlines. Prefer AddSampleHook, which composes: this field is kept
-	// for callers that own the only hook.
-	SampleHook func(t *Thread)
-
+	// sampleHooks run after every scheduler quantum (AddSampleHook);
+	// internal/perf uses them to poll LBR sample deadlines.
 	sampleHooks []*sampleHook
 }
 
@@ -179,12 +164,10 @@ func Load(bin *obj.Binary, opts Options) (*Process, error) {
 		handler:    opts.Handler,
 		heapCursor: HeapBase,
 		dcache:     make(map[uint64]*decodePage),
-		blocks:     make(map[uint64]*basicBlock),
-		blockPg:    make(map[uint64][]*basicBlock),
+		blocks:     make(map[uint64]*superblock),
 		superPg:    make(map[uint64][]*superblock),
 		loCodePg:   ^uint64(0),
 	}
-	p.supersEnabled = !opts.DisableSuperblocks
 	for _, s := range bin.Sections {
 		writeSparse(p.Mem, s.Addr, s.Data)
 	}
@@ -209,7 +192,6 @@ func (p *Process) StartThread(pc uint64) *Thread {
 		Core:    cpu.NewCore(id, p.Cfg, p.Shared),
 		StackHi: stackHi,
 		StackLo: stackHi - StackSize,
-		proc:    p,
 	}
 	t.Regs[isa.SP] = stackHi
 	t.Regs[isa.R0] = uint64(id)
@@ -245,8 +227,8 @@ func allZero(b []byte) bool {
 	return true
 }
 
-// invalidate drops decoded instructions and basic blocks covering a
-// written range. The write watch calls this on *every* store — stack
+// invalidate drops decoded instructions and traces covering a written
+// range. The write watch calls this on *every* store — stack
 // pushes included — so the common case must be a cheap dismissal: any
 // range outside [loCodePg, hiCodePg] (the pages holding decoded state)
 // returns without touching a map. Huge in-range spans (a garbage-collected
@@ -257,15 +239,10 @@ func (p *Process) invalidate(addr uint64, n int) {
 	if last < p.loCodePg || first > p.hiCodePg {
 		return
 	}
-	if last-first+1 > uint64(len(p.dcache))+uint64(len(p.blockPg))+uint64(len(p.superPg)) {
+	if last-first+1 > uint64(len(p.dcache))+uint64(len(p.superPg)) {
 		for pg := range p.dcache {
 			if pg >= first && pg <= last {
 				delete(p.dcache, pg)
-			}
-		}
-		for pg := range p.blockPg {
-			if pg >= first && pg <= last {
-				p.dropBlocks(pg)
 			}
 		}
 		for pg := range p.superPg {
@@ -276,45 +253,34 @@ func (p *Process) invalidate(addr uint64, n int) {
 	} else {
 		for pg := first; pg <= last; pg++ {
 			delete(p.dcache, pg)
-			p.dropBlocks(pg)
 			p.dropSupers(pg)
 		}
 	}
 	p.lastPage = nil
 }
 
-// dropBlocks invalidates every basic block decoded from the given page.
-// Blocks are marked invalid (the executor checks the flag after every
-// instruction, so a block invalidated by its own store stops immediately)
-// and unregistered so the next lookup rebuilds from current bytes.
-func (p *Process) dropBlocks(pg uint64) {
-	list, ok := p.blockPg[pg]
-	if !ok {
-		return
-	}
-	for _, b := range list {
-		b.valid = false
-		delete(p.blocks, b.start)
-	}
-	delete(p.blockPg, pg)
-}
-
-// dropSupers invalidates every superblock with a constituent op on the
-// given page. Traces span pages, so a trace invalidated here may still
-// sit (now invalid) in other pages' lists; entries are skipped on later
-// drops and the head block's cached pointer is cleared lazily at
-// dispatch. The executor checks sb.valid after every instruction that
-// can store, so a trace overwriting any of its own pages stops at the
-// next instruction boundary.
+// dropSupers invalidates every trace with a constituent op on the given
+// page. Block-traces are also unregistered from p.blocks, so the next
+// lookup rebuilds from current bytes. Promoted traces span pages, so one
+// invalidated here may still sit (now invalid) in other pages' lists;
+// entries are skipped on later drops and the head block-trace's hot
+// pointer is cleared lazily at dispatch. The executor checks sb.valid
+// after every instruction that can store, so a trace overwriting any of
+// its own pages stops at the next instruction boundary.
 func (p *Process) dropSupers(pg uint64) {
 	list, ok := p.superPg[pg]
 	if !ok {
 		return
 	}
 	for _, sb := range list {
-		if sb.valid {
-			sb.valid = false
+		if !sb.valid {
+			continue
+		}
+		sb.valid = false
+		if sb.spliced() {
 			p.superInval++
+		} else {
+			delete(p.blocks, sb.head)
 		}
 	}
 	delete(p.superPg, pg)
@@ -495,8 +461,7 @@ func (p *Process) Stats() cpu.Stats {
 
 // AddSampleHook registers fn to run after every scheduler quantum and
 // returns a function that removes exactly this registration — safe no
-// matter what hooks were added or removed in between, unlike saving and
-// restoring the SampleHook field.
+// matter what hooks were added or removed in between.
 func (p *Process) AddSampleHook(fn func(t *Thread)) (remove func()) {
 	h := &sampleHook{fn: fn}
 	p.sampleHooks = append(p.sampleHooks, h)
@@ -512,12 +477,8 @@ func (p *Process) AddSampleHook(fn func(t *Thread)) (remove func()) {
 	}
 }
 
-// sample dispatches the end-of-quantum hooks: the legacy single-owner
-// field first, then every registered hook in registration order.
+// sample dispatches the end-of-quantum hooks in registration order.
 func (p *Process) sample(t *Thread) {
-	if p.SampleHook != nil {
-		p.SampleHook(t)
-	}
 	for _, h := range p.sampleHooks {
 		h.fn(t)
 	}

@@ -8,15 +8,17 @@ import (
 	"repro/internal/mem"
 )
 
-// The superblock trace engine (the tier above the basic-block cache in
-// block.go; see docs/perf.md). Once a block has run superHotThreshold
-// times, the per-block edge counters (heat, takenCnt/fallCnt — fixed
-// bins on the block itself, no map lookups on the hot path) pick the
-// likely direction of every conditional, and the chain of blocks along
-// that path is spliced into one superblock decoded once. Execution then
-// stays inside the trace across taken branches; a conditional that goes
-// against the plan is a side exit that falls back to the block cache at
-// the actual target.
+// The trace executor (see docs/perf.md). Every decoded basic block is a
+// one-block trace (block.go) whose terminator always exits. Once a
+// block-trace has run superHotThreshold times, the edge counters on the
+// block-traces' terminating JCCs (takenCnt/fallCnt — fixed bins on the
+// ops themselves, no map lookups on the hot path) pick the likely
+// direction of every conditional, and the chain of blocks along that
+// path is spliced into one promoted superblock decoded once. Execution
+// then stays inside the trace across taken branches; a conditional that
+// goes against the plan is a side exit that falls back to the
+// block-trace at the actual target. Block-traces and promoted traces run
+// on the same executor, execSuper.
 //
 // Three pre-computations make re-execution O(1) per straight-line run
 // instead of O(1) per instruction:
@@ -42,21 +44,22 @@ import (
 //     front-end traffic and the op loop touches no model state until
 //     the single bulk retire — O(1) model interactions per run.
 //
-// Everything else — memory ops, branch prediction, DBI taxes, faults —
-// goes through exactly the per-event calls the block engine makes, in
-// the same order, so cpu.Stats stays cycle-exact against the Step
-// reference engine (the diffcheck golden gate runs with superblocks on).
+// Everything else — memory ops, branch prediction, DBI taxes, syscalls,
+// faults — goes through exactly the per-event calls Step makes, in the
+// same order, so cpu.Stats stays cycle-exact against the Step reference
+// interpreter (the diffcheck golden gate pins this).
 //
-// Invalidation: superblocks may span pages (traces cross page
+// Invalidation: promoted traces may span pages (traces cross page
 // boundaries), so every constituent page is registered in superPg and a
-// store into any of them invalidates the whole trace. The executor
+// store into any of them invalidates the whole trace. Block-traces sit
+// on one page and are registered in superPg the same way. The executor
 // re-checks sb.valid after every instruction that can store, so a trace
 // overwriting any of its own pages stops at the next instruction
 // boundary — exactly where Step would first see the new bytes.
 
 const (
-	// superHotThreshold is how many times a block must dispatch before
-	// trace formation is attempted from it.
+	// superHotThreshold is how many times a block-trace must dispatch
+	// before trace formation is attempted from it.
 	superHotThreshold = 64
 	// superMaxOps bounds the trace length in instructions.
 	superMaxOps = 96
@@ -74,11 +77,13 @@ const (
 	contLoop               // planned back edge to the trace head
 )
 
-// sbOp is one pre-decoded instruction of a superblock. Beyond the block
-// engine's per-op fields it carries the trace plan: the planned branch
-// target and direction, the continuation kind, the precomputed fetch
-// point (with its front-end fingerprint), and the length of the pure run
-// starting here that can be charged in one bulk retire.
+// sbOp is one pre-decoded instruction of a trace: the instruction, its
+// PC and fall-through successor, resolved at build time so the executor
+// does no address arithmetic on the hot path, plus the trace plan: the
+// planned branch target and direction, the continuation kind, the
+// precomputed fetch point (with its front-end fingerprint), and the
+// length of the pure run starting here that can be charged in one bulk
+// retire.
 type sbOp struct {
 	in      isa.Inst
 	pc      uint64
@@ -91,25 +96,40 @@ type sbOp struct {
 	planned bool              // JCC: the trace assumes taken
 	cont    sbCont
 	isDiv   bool
+
+	// JCC edge profile, counted on the exit path. Only a block-trace's
+	// terminator is ever read (by tryFormSuper).
+	takenCnt uint32
+	fallCnt  uint32
 }
 
-// superblock is a decoded trace: the ops of several blocks spliced along
-// the profiled hot path. pages lists every code page the ops were
-// decoded from; a store into any of them invalidates the trace.
+// superblock is a decoded trace. A block-trace (blocks == 0) is one
+// basic block, built by buildBlock and keyed by its start PC in
+// p.blocks; heat counts its dispatches and hot caches the promoted trace
+// headed at it, if one was formed. A promoted trace (blocks > 0) splices
+// the ops of several block-traces along the profiled hot path. Either
+// kind is registered in superPg under every code page its ops were
+// decoded from; a store into any of them invalidates it.
 type superblock struct {
 	head   uint64
 	ops    []sbOp
 	valid  bool
-	pages  []uint64
-	blocks int // blocks spliced in (diagnostics)
+	blocks int // block-traces spliced in; 0 for a block-trace
+
+	heat uint32
+	hot  *superblock
 }
 
+// spliced reports whether sb is a promoted trace rather than a
+// block-trace.
+func (sb *superblock) spliced() bool { return sb.blocks > 0 }
+
 // SuperblockStats reports trace-engine activity for diagnostics and
-// tests.
+// tests. Only promoted traces count; block-traces are the baseline.
 type SuperblockStats struct {
-	Formed      uint64 // traces built
-	Invalidated uint64 // traces dropped by the write watch
-	Insts       uint64 // instructions retired inside traces
+	Formed      uint64 // promoted traces built
+	Invalidated uint64 // promoted traces dropped by the write watch
+	Insts       uint64 // instructions retired inside promoted traces
 }
 
 // SuperblockStats returns the current trace-engine counters.
@@ -132,12 +152,12 @@ func pureOp(op isa.Op) bool {
 	return false
 }
 
-// tryFormSuper attempts to build a superblock starting at head and
-// registers it on success. On failure head's heat resets so a later,
-// warmer state (successor blocks built, branch counters filled in) can
-// retry.
-func (p *Process) tryFormSuper(head *basicBlock) *superblock {
-	sb := &superblock{head: head.start, valid: true}
+// tryFormSuper attempts to build a promoted trace starting at the
+// block-trace head and registers it on success. On failure head's heat
+// resets so a later, warmer state (successor blocks built, branch
+// counters filled in) can retry.
+func (p *Process) tryFormSuper(head *superblock) *superblock {
+	sb := &superblock{head: head.head, valid: true}
 	cur := head
 	loop := false
 	// Static call stack: a CALL spliced into the trace records its return
@@ -159,25 +179,22 @@ walk:
 			}
 			op := &cur.ops[oi]
 			if op.in.Op == isa.SYS || op.in.Op == isa.HALT {
-				// Never traced: the handler may rewrite anything, and HALT
-				// must go through the block engine's halt path. The trace
-				// ends just before; the epilogue resumes here.
+				// Never spliced: the handler may rewrite anything, and
+				// HALT ends the thread. The trace ends just before; the
+				// epilogue resumes here, in the block-trace.
 				break walk
 			}
-			so := sbOp{in: op.in, pc: op.pc, next: op.next, isDiv: op.isDiv, cont: contNext}
+			so := sbOp{in: op.in, pc: op.pc, next: op.next, target: op.target, isDiv: op.isDiv, cont: contNext}
 			switch op.in.Op {
 			case isa.JMP:
-				so.target = uint64(int64(op.next) + op.in.Imm)
 				so.planned = true
 				next, nextKnown, viaCtrl = so.target, true, true
 			case isa.CALL:
-				so.target = uint64(int64(op.next) + op.in.Imm)
 				so.planned = true
 				callStack = append(callStack, op.next)
 				next, nextKnown, viaCtrl = so.target, true, true
 			case isa.JCC:
-				so.target = uint64(int64(op.next) + op.in.Imm)
-				tc, fc := cur.takenCnt, cur.fallCnt
+				tc, fc := op.takenCnt, op.fallCnt
 				if tc == 0 && fc == 0 {
 					// No edge profile: both directions side-exit.
 					so.cont = contExit
@@ -220,7 +237,7 @@ walk:
 		if !nextKnown {
 			// The block ended without a control op: at the page boundary
 			// (fall through into the next page's block) or at a decode
-			// error (stop; the fault surfaces via the block engine).
+			// error (stop; the fault surfaces via the block-trace).
 			last := cur.ops[len(cur.ops)-1]
 			if last.next%mem.PageSize != 0 {
 				break walk
@@ -252,7 +269,7 @@ walk:
 	}
 
 	// Only worth it when the trace extends past its head block or loops
-	// back to it; otherwise the block engine already does the same work.
+	// back to it; otherwise the block-trace already does the same work.
 	if len(sb.ops) < 2 || (sb.blocks == 1 && !loop) {
 		head.heat = 0
 		return nil
@@ -265,14 +282,11 @@ walk:
 		pg := e.pc / mem.PageSize
 		if !seen[pg] {
 			seen[pg] = true
-			sb.pages = append(sb.pages, pg)
+			p.superPg[pg] = append(p.superPg[pg], sb)
+			p.noteCodePage(pg)
 		}
 	}
-	for _, pg := range sb.pages {
-		p.superPg[pg] = append(p.superPg[pg], sb)
-		p.noteCodePage(pg)
-	}
-	head.super = sb
+	head.hot = sb
 	p.superFormed++
 	return sb
 }
@@ -351,12 +365,12 @@ func (p *Process) planFetchAndRuns(sb *superblock) {
 }
 
 // execSuper runs the trace from op index start until a side exit, the
-// budget runs out, the thread faults, or the trace is invalidated under
-// its own feet. It returns the number of completed instructions; t.PC
-// is synced on every exit path. Event order is
-// instruction-for-instruction identical to execBlock (and therefore
-// Step); the only differences are skipped no-op Fetches and
-// bulk-charged retires, both bit-exact by construction.
+// budget runs out, the thread halts or faults, or the trace is
+// invalidated under its own feet. It returns the number of completed
+// instructions; t.PC is synced on every exit path. Event order is
+// instruction-for-instruction identical to Step; the only differences
+// are skipped no-op Fetches and bulk-charged retires, both bit-exact by
+// construction.
 func (p *Process) execSuper(t *Thread, sb *superblock, budget, start int) int {
 	c := t.Core
 	n := 0
@@ -692,8 +706,14 @@ func (p *Process) execSuper(t *Thread, sb *superblock, budget, start int) int {
 			}
 			n++
 			if taken != e.planned || e.cont == contExit {
-				// Side exit: the trace's plan ends here; fall back to the
-				// block cache at the actual target.
+				// Side exit (or a block-trace's terminator): the trace's
+				// plan ends here; fall back to the block-trace at the
+				// actual target.
+				if taken {
+					e.takenCnt++
+				} else {
+					e.fallCnt++
+				}
 				t.PC = target
 				return n
 			}
@@ -779,10 +799,34 @@ func (p *Process) execSuper(t *Thread, sb *superblock, budget, start int) int {
 			t.PC = target
 			return n + 1
 
-		default:
-			// Formation never includes SYS, HALT, or undecodable ops.
+		case isa.HALT:
+			c.Retire(false)
 			t.PC = e.pc
-			p.faultThread(t, fmt.Errorf("proc: unexpected op %v in superblock at PC %#x", in.Op, e.pc))
+			t.Halted = true
+			return n
+		case isa.SYS:
+			// Only a block-trace's terminator: formation never splices
+			// SYS. The handler sees the SYS PC, the way Step leaves it.
+			t.PC = e.pc
+			if p.handler == nil {
+				p.faultThread(t, fmt.Errorf("proc: SYS %d with no handler at PC %#x", in.Imm, e.pc))
+				return n
+			}
+			c.AddStall(p.opts.SyscallCost, cpu.BucketBackEnd)
+			if err := p.handler.Syscall(p, t, in.Imm); err != nil {
+				p.faultThread(t, err)
+				return n
+			}
+			c.Retire(false)
+			if t.Halted {
+				return n
+			}
+			t.PC = e.next
+			return n + 1
+
+		default:
+			t.PC = e.pc
+			p.faultThread(t, fmt.Errorf("proc: unimplemented op %v at PC %#x", in.Op, e.pc))
 			return n
 		}
 
@@ -798,7 +842,7 @@ func (p *Process) execSuper(t *Thread, sb *superblock, budget, start int) int {
 	}
 	// Budget exhausted mid-trace: record the exact op so the next
 	// quantum re-enters the trace here instead of re-dispatching through
-	// the block map (which would decode a spurious block at this
+	// the block map (which would decode a spurious block-trace at this
 	// mid-trace PC).
 	t.PC = ops[i].pc
 	t.resumeSB, t.resumeIdx = sb, i

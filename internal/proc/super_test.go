@@ -33,16 +33,33 @@ func hotLoopProgram() *build.ProgramBuilder {
 	return p
 }
 
+// stepRun runs a single-threaded process to completion on the Step
+// reference interpreter and returns the instructions it executed.
+func stepRun(t *testing.T, pr *Process) uint64 {
+	t.Helper()
+	var n uint64
+	for pr.Step(pr.Threads[0]) {
+		n++
+	}
+	if err := pr.Fault(); err != nil {
+		t.Fatal(err)
+	}
+	if rs := pr.SuperblockStats(); rs != (SuperblockStats{}) {
+		t.Fatalf("Step reference touched the trace cache: %+v", rs)
+	}
+	return n
+}
+
 // TestSuperblockFormationAndSideExits: the hot loop forms traces,
 // retires instructions inside them, side exits when the biased branch
-// flips, and produces exactly the architectural result and cycle
-// accounting of the block engine with traces disabled.
+// flips, and produces exactly the architectural result, instruction
+// count and cycle accounting of the Step reference.
 func TestSuperblockFormationAndSideExits(t *testing.T) {
 	p := hotLoopProgram()
 	bin := assembleOrDie(t, p)
 
 	pr := loadOrDie(t, bin, Options{})
-	pr.RunUntilHalt(0)
+	n := pr.RunUntilHalt(0)
 	if err := pr.Fault(); err != nil {
 		t.Fatal(err)
 	}
@@ -51,25 +68,21 @@ func TestSuperblockFormationAndSideExits(t *testing.T) {
 		t.Fatalf("trace engine idle on a hot loop: %+v", sb)
 	}
 
-	ref := loadOrDie(t, bin, Options{DisableSuperblocks: true})
-	ref.RunUntilHalt(0)
-	if err := ref.Fault(); err != nil {
-		t.Fatal(err)
-	}
-	if rs := ref.SuperblockStats(); rs.Formed != 0 || rs.Insts != 0 {
-		t.Fatalf("DisableSuperblocks still formed traces: %+v", rs)
+	ref := loadOrDie(t, bin, Options{})
+	if refN := stepRun(t, ref); n != refN {
+		t.Errorf("engine executed %d instructions, Step %d", n, refN)
 	}
 
 	syms := asm.DataSymbols(mustProg(t, p), asm.Options{})
 	const want = 2800*3 + 1200*5
 	if got := pr.Mem.ReadWord(syms["sum"]); got != want {
-		t.Errorf("super sum = %d, want %d", got, want)
+		t.Errorf("engine sum = %d, want %d", got, want)
 	}
 	if got := ref.Mem.ReadWord(syms["sum"]); got != want {
-		t.Errorf("block sum = %d, want %d", got, want)
+		t.Errorf("Step sum = %d, want %d", got, want)
 	}
 	if a, b := pr.Stats(), ref.Stats(); a != b {
-		t.Errorf("cycle accounting diverged:\nsuper: %+v\nblock: %+v", a, b)
+		t.Errorf("cycle accounting diverged:\nengine: %+v\nStep:   %+v", a, b)
 	}
 }
 
@@ -114,7 +127,7 @@ func TestSuperblockSelfModifyingStore(t *testing.T) {
 	bin := assembleOrDie(t, p)
 
 	pr := loadOrDie(t, bin, Options{})
-	pr.RunUntilHalt(0)
+	n := pr.RunUntilHalt(0)
 	if err := pr.Fault(); err != nil {
 		t.Fatal(err)
 	}
@@ -131,16 +144,15 @@ func TestSuperblockSelfModifyingStore(t *testing.T) {
 		t.Errorf("stores into trace pages never invalidated a trace: %+v", sb)
 	}
 
-	ref := loadOrDie(t, bin, Options{DisableSuperblocks: true})
-	ref.RunUntilHalt(0)
-	if err := ref.Fault(); err != nil {
-		t.Fatal(err)
+	ref := loadOrDie(t, bin, Options{})
+	if refN := stepRun(t, ref); n != refN {
+		t.Errorf("engine executed %d instructions, Step %d", n, refN)
 	}
 	if got := ref.Mem.ReadWord(syms["sum"]); got != want {
-		t.Errorf("block-engine sum = %d, want %d", got, want)
+		t.Errorf("Step sum = %d, want %d", got, want)
 	}
 	if a, b := pr.Stats(), ref.Stats(); a != b {
-		t.Errorf("cycle accounting diverged:\nsuper: %+v\nblock: %+v", a, b)
+		t.Errorf("cycle accounting diverged:\nengine: %+v\nStep:   %+v", a, b)
 	}
 }
 

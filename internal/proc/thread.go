@@ -21,8 +21,6 @@ type Thread struct {
 	StackLo uint64
 	StackHi uint64
 
-	proc *Process
-
 	// Trace-resume state: set when a quantum runs dry mid-superblock so
 	// the next quantum re-enters the trace at the exact op instead of
 	// re-dispatching through the block map. Consumed (and re-validated)
@@ -47,18 +45,6 @@ func (t *Thread) SetReg(i uint8, v uint64) {
 		t.Regs[i&(isa.NumRegs-1)] = v // no-op mask; see Reg
 	}
 }
-
-// Mem gives syscall handlers access to process memory.
-func (t *Thread) Mem() *memAccess { return &memAccess{t.proc} }
-
-// memAccess is a narrow facade over the address space for handlers; the
-// methods mirror mem.AddressSpace.
-type memAccess struct{ p *Process }
-
-func (m *memAccess) ReadWord(addr uint64) uint64     { return m.p.Mem.ReadWord(addr) }
-func (m *memAccess) WriteWord(addr uint64, v uint64) { m.p.Mem.WriteWord(addr, v) }
-func (m *memAccess) Read(addr uint64, b []byte)      { m.p.Mem.Read(addr, b) }
-func (m *memAccess) Write(addr uint64, b []byte)     { m.p.Mem.Write(addr, b) }
 
 // String summarizes the thread state.
 func (t *Thread) String() string {

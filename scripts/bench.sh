@@ -1,15 +1,16 @@
 #!/usr/bin/env sh
 # Benchmark runner, two sections:
 #
-# 1. Interpreter throughput: runs BenchmarkStep for all three execution
-#    tiers — the superblock trace engine, the basic-block cache it sits
-#    on, and the legacy per-instruction baseline — and writes
-#    BENCH_proc.json with each tier's simulated-instructions-per-second
-#    plus the tier-over-tier speedups, all measured in the same run. The
-#    benchmark is invoked COUNT separate times — each invocation
-#    measures the tiers back to back, so they share machine-noise
-#    conditions — and the best run per tier is kept: wall-clock noise on
-#    shared machines only ever slows a run down. See docs/perf.md.
+# 1. Interpreter throughput: runs BenchmarkStep for both interpreters —
+#    the trace executor the scheduler uses and the per-instruction Step
+#    reference — and writes BENCH_proc.json with each arm's
+#    simulated-instructions-per-second, the engine-over-Step speedup,
+#    and the machine it ran on (Go version, GOMAXPROCS, CPU model,
+#    commit). The benchmark is invoked COUNT separate times — each
+#    invocation measures the arms back to back, so they share
+#    machine-noise conditions — and the best run per arm is kept:
+#    wall-clock noise on shared machines only ever slows a run down. See
+#    docs/perf.md.
 #
 # 2. Fleet wave: drives FLEET_SERVICES (default 1000) mixed-workload
 #    replicas through one sharded optimization wave and writes
@@ -66,31 +67,34 @@ $run"
 done
 
 # Benchmark lines end with: <ns/op> ns/op <inst/s> inst/s
-super=$(echo "$raw" | awk '/^BenchmarkStep\/super/  {if ($(NF-1)+0 > best) best = $(NF-1)+0} END {print best}')
-block=$(echo "$raw" | awk '/^BenchmarkStep\/block/  {if ($(NF-1)+0 > best) best = $(NF-1)+0} END {print best}')
-legacy=$(echo "$raw" | awk '/^BenchmarkStep\/legacy/ {if ($(NF-1)+0 > best) best = $(NF-1)+0} END {print best}')
+engine=$(echo "$raw" | awk '/^BenchmarkStep\/engine/ {if ($(NF-1)+0 > best) best = $(NF-1)+0} END {print best}')
+step=$(echo "$raw" | awk '/^BenchmarkStep\/step/ {if ($(NF-1)+0 > best) best = $(NF-1)+0} END {print best}')
 
-if [ -z "$super" ] || [ -z "$block" ] || [ -z "$legacy" ] ||
-    [ "$super" = 0 ] || [ "$block" = 0 ] || [ "$legacy" = 0 ]; then
+if [ -z "$engine" ] || [ -z "$step" ] || [ "$engine" = 0 ] || [ "$step" = 0 ]; then
     echo "bench.sh: failed to parse benchmark output" >&2
     exit 1
 fi
 
-speedup=$(awk "BEGIN {printf \"%.2f\", $block / $legacy}")
-super_vs_block=$(awk "BEGIN {printf \"%.2f\", $super / $block}")
-super_vs_legacy=$(awk "BEGIN {printf \"%.2f\", $super / $legacy}")
+speedup=$(awk "BEGIN {printf \"%.2f\", $engine / $step}")
+go_version=$(go env GOVERSION)
+# go test suffixes benchmark names with -GOMAXPROCS, except when it is 1.
+gomaxprocs=$(echo "$raw" | sed -n 's/^BenchmarkStep\/engine-\([0-9]*\)[[:space:]].*/\1/p' | head -1)
+gomaxprocs="${gomaxprocs:-1}"
+cpu_model=$(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo 2>/dev/null | head -1)
+commit=$(git describe --always --dirty 2>/dev/null || echo unknown)
 
 cat > "$OUT" <<EOF
 {
   "benchmark": "BenchmarkStep",
   "benchtime": "$BENCHTIME",
   "count": $COUNT,
-  "baseline_legacy_ips": $legacy,
-  "block_engine_ips": $block,
-  "superblock_ips": $super,
-  "speedup": $speedup,
-  "superblock_speedup_vs_block": $super_vs_block,
-  "superblock_speedup_vs_legacy": $super_vs_legacy
+  "go": "$go_version",
+  "gomaxprocs": $gomaxprocs,
+  "cpu": "${cpu_model:-unknown}",
+  "commit": "$commit",
+  "engine_ips": $engine,
+  "step_ips": $step,
+  "engine_speedup_vs_step": $speedup
 }
 EOF
 

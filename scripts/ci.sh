@@ -104,11 +104,12 @@ grep -q 'replay OK' "$tmpdir/replay.log" ||
     { cat "$tmpdir/replay.log"; echo "replay did not verify"; exit 1; }
 echo "record/replay smoke OK ($(wc -l < "$tmpdir/session.jsonl") events)"
 
-# Both fast execution tiers — the superblock trace engine and the
-# block cache under it — must stay cycle-exact with the Step reference
-# interpreter, and the superblock run must actually form and execute
-# traces (see docs/perf.md): run the golden equivalence gate explicitly
-# so an engine regression names itself in the CI log.
+# The trace executor — block-traces and the promoted superblocks
+# spliced from them — must stay cycle-exact with the Step reference
+# interpreter, at the default quantum and at budgets cycling 1..13, and
+# each run must actually form and execute promoted traces (see
+# docs/perf.md): run the golden equivalence gate explicitly so an engine
+# regression names itself in the CI log.
 echo "== go test -run TestCycleExactEngineEquivalence ./internal/diffcheck"
 go test -run TestCycleExactEngineEquivalence ./internal/diffcheck
 
@@ -117,21 +118,22 @@ go test -run TestCycleExactEngineEquivalence ./internal/diffcheck
 echo "== go test -bench BenchmarkStep -benchtime 1x"
 go test -run '^$' -bench BenchmarkStep -benchtime 1x .
 
-# Superblock perf gate: the trace engine must not be slower than the
-# block cache it is built on. Best of 2 one-second runs per tier, with a
-# 0.9 factor so shared-machine noise (±20% run to run) cannot flake the
-# gate while a real regression — traces falling back to per-op paths
-# everywhere — still fails it.
-echo "== superblock vs block bench smoke"
-smoke=$(go test -run '^$' -bench 'BenchmarkStep/(super|block)' -benchtime 1s -count 2 .)
+# Engine perf gate: the trace executor must run at least twice as fast
+# as the per-instruction Step reference it is pinned to. Best of 2
+# one-second runs per arm; the engine measures 3-4x Step on a shared
+# 2-core box, so run-to-run noise (±20%) cannot flake the gate while a
+# real regression — traces falling back to per-op paths everywhere —
+# still fails it.
+echo "== engine vs Step bench smoke"
+smoke=$(go test -run '^$' -bench 'BenchmarkStep/(engine|step)' -benchtime 1s -count 2 .)
 echo "$smoke"
 echo "$smoke" | awk '
-    /^BenchmarkStep\/super/ {if ($(NF-1)+0 > s) s = $(NF-1)+0}
-    /^BenchmarkStep\/block/ {if ($(NF-1)+0 > b) b = $(NF-1)+0}
+    /^BenchmarkStep\/engine/ {if ($(NF-1)+0 > e) e = $(NF-1)+0}
+    /^BenchmarkStep\/step/ {if ($(NF-1)+0 > s) s = $(NF-1)+0}
     END {
-        if (s == 0 || b == 0) { print "bench smoke: missing tier output"; exit 1 }
-        printf "super %.0f inst/s vs block %.0f inst/s (%.2fx)\n", s, b, s / b
-        if (s < 0.9 * b) { print "superblock engine slower than block engine"; exit 1 }
+        if (e == 0 || s == 0) { print "bench smoke: missing arm output"; exit 1 }
+        printf "engine %.0f inst/s vs Step %.0f inst/s (%.2fx)\n", e, s, e / s
+        if (e < 2 * s) { print "trace executor less than 2x the Step reference"; exit 1 }
     }'
 
 # Control-plane smoke (see docs/observability.md): boot the real fleetd
